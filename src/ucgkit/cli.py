@@ -112,13 +112,16 @@ def _parse_conditions(text: str) -> frozenset[str]:
     return frozenset(_COND_TOKENS[t] for t in toks)
 
 
-def run_command(argv: list[str]) -> tuple[dict, int]:
+def run_command(argv: list[str],
+                args: argparse.Namespace | None = None) -> tuple[dict, int]:
     """Execute one CLI invocation; returns (report, exit_code).
 
-    Raises the package's error types for malformed input; ``main`` maps
-    those to exit code 2.
+    ``args`` is ``argv`` already parsed, for a caller that needs the
+    parsed options too.  Raises the package's error types for malformed
+    input; ``main`` maps those to exit code 2.
     """
-    args = build_parser().parse_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     inputs: dict = {}
     handler = globals()[f"_cmd_{args.command}"]
@@ -285,7 +288,8 @@ def _cmd_families(args, inputs):
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        report, code = run_command(argv)
+        args = build_parser().parse_args(argv)
+        report, code = run_command(argv, args)
     except SystemExit as exc:  # argparse already printed usage
         return 2 if exc.code not in (0, None) else 0
     except (MalformedInputError, DomainError, BoundExceededError, ValueError) as exc:
@@ -294,13 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     except UcgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    json_path = None
-    for i, a in enumerate(argv):
-        if a == "--json" and i + 1 < len(argv):
-            json_path = argv[i + 1]
     text = json.dumps(report, indent=2, sort_keys=True)
-    if json_path:
-        Path(json_path).write_text(text + "\n")
+    if args.json_path:
+        Path(args.json_path).write_text(text + "\n")
     else:
         print(text)
     return code

@@ -9,8 +9,11 @@ desk scale, the minimum covering sizes under several condition sets:
   by complements of closed neighborhoods.
 * The compound condition sets couple blocks to each other, so they are
   decided by a bounded exhaustive search over block-membership patterns
-  (``decide_cover_k``), run in lexicographic order with sound pruning so
-  the first witness found is the lexicographically first one.
+  (``decide_cover_k``), run in lexicographic order so the first witness
+  found is the lexicographically first one.  The search checks each
+  clause on the partial assignment wherever its violation is monotone
+  (no later vertex can repair it), so a pruned subtree holds no witness
+  and the order is kept.
 
 All distances are taken in the host graph; infinity satisfies every
 threshold, and the distance from an empty set is infinite.  Clauses that
@@ -19,7 +22,6 @@ demand a witness *inside* a set are false for the empty set.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -532,13 +534,40 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
     lexicographic order, so the returned witness is the lexicographically
     first one regardless of any internal work partitioning.  With
     ``refine`` the first block additionally gets every (Q_0, Q_1) split
-    enumerated for the A''/B'' clauses.
+    searched for the A''/B'' clauses.
 
-    The search is cut by two sound prunes: every block of a covering
-    passing A (or A', which implies A) must avoid some closed
-    neighborhood entirely, and under B' no vertex can belong to all k
-    blocks.  Pruned subtrees contain no witnesses, so lexicographic order
-    is preserved.
+    Blocks only grow as vertices are placed, so each prune below fires on
+    a violation that every completion keeps; a pruned subtree therefore
+    holds no witness and lexicographic order is preserved.  The leaf
+    checks still run on everything that survives.  Before vertex v is
+    placed, each such violation it could cause is written as the set of
+    blocks v would have to join to cause it, and every pattern holding
+    one of those sets is skipped.
+
+    * A (or A', which implies A): a block whose closed neighborhood N[P_i]
+      is V has no outside vertex at distance >= 2.
+    * A': a block whose 2-ball is V and whose N[P_i] meets every sibling;
+      both only grow.
+    * B': a placed vertex u whose N[u] meets every block (one of them
+      holds u) has no sibling at distance >= 2.  B: that, and one of u's
+      blocks holds every vertex at distance >= 3 from u.  Placing v can
+      only change these for u in N[v] or at distance >= 3 from v, so only
+      those are rechecked.
+
+    The split of the first block is a second depth-first search, in the
+    same pattern order the plain enumeration had.  Clauses that do not
+    depend on the split (A''-1a/1b, B''-1a/1b, B''-2a) are settled once
+    per covering; Q_0 and Q_1 only grow, so these cut the split search:
+
+    * A''-1c: a sibling failing A''-1a/1b whose N[P_i] already meets both
+      sides.
+    * A''-2: a side whose 2-ball already covers V \\ P_0 and whose
+      N[Q_l] already meets every sibling; both only grow.
+    * B''-1: a sibling vertex p failing B''-1a/1b whose N[p] already
+      meets both sides, so B''-1c and B''-1d both fail.
+    * B''-2b: a vertex p of Q_l failing B''-2a, with every vertex of P_0
+      at distance >= 4 from p already in Q_l, or N[p] already meeting
+      the other side.
     """
     conds = frozenset(conds)
     witness = next(iter_covering_witnesses(p, k, conds, refine=refine,
@@ -551,16 +580,59 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
 
 def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool):
     n = host.n
-    full = host.full_mask
-    closed = host.closed_masks
+    full, closed, ball2, far3, _ = _geometry(host)
     need_a = bool(conds & {"A", "A'"})
-    skip_full = "B'" in conds and k >= 2
-    full_pat = (1 << k) - 1
-    blocks = [0] * k
-    wit = [full] * k
+    need_ap = "A'" in conds
+    need_bp = "B'" in conds
+    need_b = "B" in conds and not need_bp
+    members = [tuple(i for i in range(k) if pat >> i & 1) for pat in range(1 << k)]
+    # supersets[r]: the patterns holding every block of r, as a bit set
+    supersets = [mask_of(pat for pat in range(1 << k) if pat & r == r)
+                 for r in range(1 << k)]
+    nonempty = (1 << (1 << k)) - 2
 
-    def leaf():
-        bm = tuple(blocks)
+    def missing(bl: tuple[int, ...], m: int) -> int:
+        out = 0
+        for i, b in enumerate(bl):
+            if not b & m:
+                out |= 1 << i
+        return out
+
+    def cuts(v: int, bl: tuple[int, ...], nb1: tuple[int, ...],
+             nb2: tuple[int, ...]) -> list[int]:
+        # block sets R such that placing v in every block of R (and maybe
+        # others) violates a clause for good; the state before v violates
+        # none, so a clause v cannot touch needs no rule
+        vb, cv, bv = 1 << v, closed[v], ball2[v]
+        out = []
+        if need_a:      # N[P_i] becomes V
+            out += [1 << i for i in range(k) if nb1[i] | cv == full]
+        if need_ap:     # the 2-ball of P_i is V and N[P_i] meets every block
+            for i in range(k):
+                if nb2[i] | bv == full:
+                    out.append(missing(bl, nb1[i] | cv) | 1 << i)
+                if nb2[i] == full and nb1[i] & vb:
+                    out.append(missing(bl, nb1[i]))
+        # B' fails at u once N[u] meets every block; B fails once, besides,
+        # a block of u holds far3[u] (so a B' rule covers B).  Placing v
+        # changes these only for u in N[v], or for B in far3[v] too.
+        placed = (vb << 1) - 1
+        if need_bp:
+            out += [missing(bl, closed[u]) for u in bits(placed & cv)]
+        elif need_b:
+            for u in bits(placed & (cv | far3[v])):
+                m, fu = missing(bl, closed[u]), far3[u]
+                if u == v:
+                    out += [m | 1 << i for i in range(k) if not fu & ~bl[i]]
+                elif cv >> u & 1:
+                    if any(b >> u & 1 and not fu & ~b for b in bl):
+                        out.append(m)
+                elif not m:
+                    out += [1 << i for i in range(k)
+                            if bl[i] >> u & 1 and fu & ~bl[i] == vb]
+        return out
+
+    def leaf(bm: tuple[int, ...]):
         if "A" in conds and not _passes_A(host, bm):
             return
         if "A'" in conds and not _passes_Aprime(host, bm):
@@ -572,66 +644,108 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool):
         if not refine:
             yield bm, None
             return
-        for q0m, q1m in _splits(bm[0]):
-            if "A''" in conds and not _passes_Adp(host, bm, 0, q0m, q1m):
-                continue
-            if "B''" in conds and not _passes_Bdp(host, bm, 0, q0m, q1m):
-                continue
-            yield bm, (q0m, q1m)
+        for split in _split_dfs(host, bm, conds):
+            yield bm, split
 
-    def rec(v: int):
+    def rec(v: int, bl: tuple[int, ...], nb1: tuple[int, ...], nb2: tuple[int, ...]):
         if v == n:
-            if not any(b == 0 for b in blocks):
-                yield from leaf()
+            # blocks may overlap, so one vertex left can still fill every
+            # empty block: emptiness is only decided here
+            if all(bl):
+                yield from leaf(bl)
             return
-        if sum(1 for b in blocks if b == 0) > n - v:
-            return
-        vb = 1 << v
-        nclosed = ~closed[v]
-        for pat in range(1, full_pat + 1):
-            if skip_full and pat == full_pat:
-                continue
-            saved = []
-            alive = True
-            m = pat
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                m ^= low
-                saved.append((i, blocks[i], wit[i]))
-                blocks[i] |= vb
-                if need_a:
-                    wit[i] &= nclosed
-                    if not wit[i]:
-                        alive = False
-                        break
-            if alive:
-                yield from rec(v + 1)
-            for i, b, w in reversed(saved):
-                blocks[i] = b
-                wit[i] = w
-        return
+        vb, cv, bv = 1 << v, closed[v], ball2[v]
+        dead = 0
+        for r in cuts(v, bl, nb1, nb2):
+            dead |= supersets[r]
+        for pat in bits(nonempty & ~dead):
+            cb, c1, c2 = list(bl), list(nb1), list(nb2)
+            for i in members[pat]:
+                cb[i] |= vb
+                c1[i] |= cv
+                c2[i] |= bv
+            yield from rec(v + 1, tuple(cb), tuple(c1), tuple(c2))
 
-    return rec(0)
+    empty = (0,) * k
+    return rec(0, empty, empty, empty)
 
 
-def _splits(mask: int):
-    """All (Q0, Q1) with Q0 | Q1 == mask and Q0 nonempty, up to swapping
-    the two sides: the lowest vertex is pinned into Q0.  Lexicographic in
-    the per-vertex pattern vector (Q0-only, Q1-only, both)."""
-    vs = list(bits(mask))
-    head_bit = 1 << vs[0]
-    rest = vs[1:]
-    for head_pat in (1, 3):
-        hq1 = head_bit if head_pat == 3 else 0
-        for combo in itertools.product((1, 2, 3), repeat=len(rest)):
-            q0, q1 = head_bit, hq1
-            for v, c in zip(rest, combo):
-                if c & 1:
-                    q0 |= 1 << v
-                if c & 2:
-                    q1 |= 1 << v
+def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset):
+    """The (Q0, Q1) splits of block 0 that pass the A''/B'' of ``conds``.
+
+    Q0 | Q1 is block 0 and its lowest vertex is pinned into Q0.  Vertices
+    are assigned in index order, each Q0-only, Q1-only or both (the lowest
+    vertex skips Q1-only), so the splits come in lexicographic order of
+    that pattern vector.  A subtree is cut as soon as a clause fails in a
+    way no later vertex can repair; the splits reached are checked in full.
+    """
+    full, closed, ball2, _, far4 = _geometry(g)
+    p0, rest = bm[0], bm[1:]
+    vs = list(bits(p0))
+    need_a, need_b = "A''" in conds, "B''" in conds
+    outside = full & ~p0
+    # masks at most one side may meet: N[P_i] of a sibling failing A''-1a
+    # and A''-1b (A''-1c is left), and N[p] of a sibling vertex failing
+    # B''-1a and B''-1b (B''-1c and B''-1d both fail once Q0 and Q1 meet it)
+    one_side: list[int] = []
+    # vertices of block 0 failing B''-2a, which need B''-2b in their side
+    need_2b = 0
+    if need_a:
+        for m in rest:
+            nb = _union_ball(closed, m)
+            if _union_ball(ball2, m) == full and all(j & nb for j in rest):
+                one_side.append(nb)
+    if need_b:
+        sib = 0
+        for m in rest:
+            sib |= m
+        for p in bits(sib):
+            if p0 & closed[p] and all(j & closed[p] for j in rest):
+                one_side.append(closed[p])
+        for p in vs:
+            if all(j & closed[p] for j in rest):
+                need_2b |= 1 << p
+
+    def side_bad(b2: int, c1: int) -> bool:
+        # A''-2a and A''-2b both fail for a side with these 2- and 1-balls
+        return not (outside & ~b2) and all(j & c1 for j in rest)
+
+    def lost_2b(p: int, q0: int, q1: int) -> bool:
+        # B''-2b fails for p in a side that holds far4[p] & P_0 or whose
+        # other side meets N[p]
+        fp, cp = far4[p] & p0, closed[p]
+        return bool((q0 >> p & 1 and (not fp & ~q0 or q1 & cp))
+                    or (q1 >> p & 1 and (not fp & ~q1 or q0 & cp)))
+
+    def rec(t: int, q0: int, q1: int, b0: int, b1: int, c0: int, c1: int):
+        if t == len(vs):
+            if need_a and not _passes_Adp(g, bm, 0, q0, q1):
+                return
+            if need_b and not _passes_Bdp(g, bm, 0, q0, q1):
+                return
             yield q0, q1
+            return
+        x = vs[t]
+        xb = 1 << x
+        cx, bx = closed[x], ball2[x]
+        touched = need_2b & ((xb << 1) - 1) & (cx | far4[x])
+        for pat in (1, 3) if t == 0 else (1, 2, 3):
+            r0, r1, s0, s1, d0, d1 = q0, q1, b0, b1, c0, c1
+            if pat & 1:
+                r0, s0, d0 = r0 | xb, s0 | bx, d0 | cx
+                if need_a and side_bad(s0, d0):
+                    continue
+            if pat & 2:
+                r1, s1, d1 = r1 | xb, s1 | bx, d1 | cx
+                if need_a and side_bad(s1, d1):
+                    continue
+            if any(r0 & m and r1 & m for m in one_side):
+                continue
+            if any(lost_2b(p, r0, r1) for p in bits(touched)):
+                continue
+            yield from rec(t + 1, r0, r1, s0, s1, d0, d1)
+
+    return rec(0, 0, 0, 0, 0, 0, 0)
 
 
 # --------------------------------------------------------------------------

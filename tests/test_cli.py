@@ -177,6 +177,12 @@ class TestMainEntry:
         assert json.loads(path.read_text())["result"]["radius"] == 2
         assert capsys.readouterr().out == ""
 
+    def test_json_equals_form_to_file(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["analyze", "--periphery", "c4", f"--json={path}"]) == 0
+        assert json.loads(path.read_text())["result"]["radius"] == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["analyze", "--periphery", "no_such_thing_42"]) == 2
         assert "error" in capsys.readouterr().err

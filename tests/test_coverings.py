@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import ucgkit as U
@@ -291,6 +292,94 @@ class TestDecide:
             assert ap == (prof.diameter >= 5)
             if prof.radius == 2:
                 assert not decide_cover_k(g, 2, ("A", "B")).found
+
+
+_LITERAL = {"A": oracles.cond_A, "B": oracles.cond_B,
+            "A'": oracles.cond_Aprime, "B'": oracles.cond_Bprime}
+_PLAIN_CONDS = [("A",), ("B",), ("A'",), ("B'",), ("A", "B"), ("A'", "B'")]
+_REFINED_CONDS = [("A", "A''", "B''"), ("A''",), ("B''",)]
+
+
+def _literal_streams(g, k, cond_sets, limit=None):
+    """The witnesses the pruned search must yield for each condition set,
+    in order: every covering (and, for A''/B'', every split of block 0
+    with its lowest vertex in Q0) passing the literal condition texts.
+    With ``limit`` the scan stops once every stream has that many."""
+    streams = {conds: [] for conds in cond_sets}
+    for blocks in oracles.all_coverings(g, k):
+        if limit is not None and all(len(w) >= limit for w in streams.values()):
+            break
+        seen = {}
+
+        def holds(c):  # each literal condition once per covering
+            if c not in seen:
+                seen[c] = _LITERAL[c](g, blocks)
+            return seen[c]
+
+        for conds in cond_sets:
+            if not all(holds(c) for c in conds if c in _LITERAL):
+                continue
+            if "A''" not in conds and "B''" not in conds:
+                streams[conds].append(blocks)
+                continue
+            head = min(blocks[0])
+            streams[conds] += [
+                (blocks, q0, q1) for q0, q1 in oracles.all_splits(blocks[0])
+                if head in q0
+                and ("A''" not in conds or oracles.cond_Adp(g, blocks, 0, q0, q1))
+                and ("B''" not in conds or oracles.cond_Bdp(g, blocks, 0, q0, q1))]
+    if limit is not None:
+        streams = {conds: w[:limit] for conds, w in streams.items()}
+    return streams
+
+
+def _library_stream(g, k, conds):
+    refine = any(c in ("A''", "B''") for c in conds)
+    for w in iter_covering_witnesses(g, k, conds, refine=refine):
+        yield (w.base.blocks, w.q0, w.q1) if refine else w.blocks
+
+
+@st.composite
+def _graph_and_conds(draw):
+    # the literal split scan costs 7^n condition checks when fewer than 20
+    # refined witnesses exist, so refined sets draw smaller graphs
+    conds = draw(st.sampled_from(_PLAIN_CONDS + _REFINED_CONDS))
+    n = draw(st.integers(2, 6 if conds in _REFINED_CONDS else 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    return g, conds
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("k, cond_sets", [(2, _PLAIN_CONDS + _REFINED_CONDS),
+                                              (3, _PLAIN_CONDS)])
+    def test_streams_match_literal_oracle(self, k, cond_sets):
+        for g in U.atlas_graphs(max_n=5):
+            if min(g.ecc) < 2:
+                continue
+            ref = _literal_streams(g, k, cond_sets)
+            for conds in cond_sets:
+                assert list(_library_stream(g, k, conds)) == ref[conds], \
+                    (g.edges, conds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graph_and_conds())
+    def test_stream_prefix_matches_literal_oracle_random(self, case):
+        g, conds = case
+        ref = _literal_streams(g, 2, [conds], limit=20)[conds]
+        assert list(itertools.islice(_library_stream(g, 2, conds), 20)) == ref
+
+    def test_prism5_three_block_AprimeBprime_infeasible(self):
+        dec = decide_cover_k(gen_prism(5).graph, 3, ("A'", "B'"))
+        assert dec.value is INFEASIBLE and dec.method == "exhausted"
+
+    def test_prism7_refined_witness(self, prism7_refined_decision):
+        w = prism7_refined_decision.witness
+        assert [sorted(b) for b in w.base.blocks] == \
+            [[0, 1, 2, 3, 4, 7, 8, 9, 10], [5, 6, 11, 12, 13]]
+        assert sorted(w.q0) == [0, 1, 2, 7, 8]
+        assert sorted(w.q1) == [3, 4, 9, 10]
 
 
 class TestTwoBall:
