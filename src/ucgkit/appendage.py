@@ -34,11 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations
 
-from .coverings import (Covering, RefinedCovering, construct_AB_bipartition,
-                        cov_A, iter_covering_witnesses, singleton_covering,
-                        two_ball_triple_check, _component_split)
+from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, cov_A,
+                        iter_covering_witnesses, singleton_covering, two_block_fact)
 from .errors import BoundExceededError, InternalCheckError
-from .graphs import INF, Graph, bits, metric_profile
+from .graphs import INF, Graph, MetricProfile, json_number, metric_profile
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
                         build_scaffold, verify_construction)
 
@@ -75,10 +74,8 @@ class AppendageResult:
 
         if isinstance(self.value, Unresolved):
             val: object = {"lo": self.value.lo, "hi": self.value.hi}
-        elif self.value is INF or self.value == INF:
-            val = "inf"
         else:
-            val = self.value
+            val = json_number(self.value)
         wit = None
         if self.witness is not None:
             wit = {"graph6": encode_graph6(self.witness.graph),
@@ -127,17 +124,24 @@ def _try(builder, wit, c, p, expect):
     return s if rep.ok and rep.intermediate_count == expect else None
 
 
-def _route(c: Graph, p: Graph, conds: tuple[str, ...], kappa: int,
-           refine: bool, bound: int | None, builder, expect: int,
-           quick=None, quick_reason: str = "") -> _Route:
-    """Find a size-kappa covering meeting ``conds`` whose construction
-    verifies.  A theory-backed ``quick`` witness is tried first; if it
-    disappoints, the full witness stream is walked in order, so a
-    "no-build" answer means every condition-passing covering was tried."""
-    if quick is not None:
+def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
+           bound: int | None, builder, expect: int) -> _Route:
+    """Find a size-kappa covering meeting the conditions of profile key
+    ``key`` whose construction verifies.  At kappa = 2 the key's size-2
+    facts come first: one may rule the covering out, or hand over a
+    theory-backed witness to try.  If that disappoints, the full witness
+    stream is walked in order, so a "no-build" answer means every
+    condition-passing covering was tried."""
+    conds = PROFILE_CONDS[key]
+    refine = key == "AA''B''"
+    fact = two_block_fact(p, prof, key) if kappa == 2 else None
+    if fact is not None:
+        if fact.build is None:
+            return _Route("no-witness", reason=fact.reason)
+        quick = fact.build(p)
         s = _try(builder, quick, c, p, expect)
         if s is not None:
-            return _Route("built", quick, s, quick_reason)
+            return _Route("built", quick, s, fact.reason)
     if kappa == p.n:
         base = singleton_covering(p)
         wit: Covering | RefinedCovering = base
@@ -169,7 +173,7 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     prof = metric_profile(p)
     if prof.radius <= 1:
         return AppendageResult(INF, "infeasible: radius(P) <= 1",
-                               {"radius": _j(prof.radius)}, None)
+                               {"radius": json_number(prof.radius)}, None)
 
     if c.n == 1:
         cone = _verified(build_cone(p), c, p, 0)
@@ -178,7 +182,8 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     res_a = cov_A(p)
     kappa = res_a.value
     certs: dict = {"kappa": kappa, "cov_A_witness": res_a.witness.to_json(),
-                   "radius": _j(prof.radius), "diameter": _j(prof.diameter)}
+                   "radius": json_number(prof.radius),
+                   "diameter": json_number(prof.diameter)}
 
     if c.is_complete:
         return _complete_center(c, p, kappa, res_a.witness, prof, certs, bound)
@@ -189,14 +194,7 @@ def _complete_center(c, p, kappa, cov_a_wit, prof, certs, bound):
     # value is kappa exactly when a size-kappa covering meeting A and B
     # admits a verifying depth-1 construction minus the apex
     builder = lambda w: build_scaffold(c, p, w, 1, drop=(1,))
-    if kappa == 2 and prof.radius == 2:
-        route = _Route("no-witness", reason="r=2")
-    else:
-        quick = None
-        if prof.diameter >= 4 and prof.radius >= 3:
-            quick = construct_AB_bipartition(p)
-        route = _route(c, p, ("A", "B"), kappa, False, bound, builder, kappa,
-                       quick, "diam>=4,r>=3")
+    route = _route(c, p, prof, "AB", kappa, bound, builder, kappa)
     certs["cov_AB_decision"] = route.note()
     if route.status == "built":
         certs["witness_covering"] = route.witness.to_json()
@@ -217,19 +215,12 @@ def _complete_center(c, p, kappa, cov_a_wit, prof, certs, bound):
 
 
 def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
-    disconnected = not p.is_connected
-
     # 2*kappa  <=>  some size-kappa covering meeting A' and B' builds;
     # a graph realizing 2*kappa always contains such a buildable covering
     # as a spanning-subgraph certificate, so a fully walked stream with
     # no verifying construction rules the value out exactly.
     builder1 = lambda w: build_scaffold(c, p, w, 2, drop=(1, 2))
-    if kappa == 2 and not disconnected:
-        r1 = _Route("no-witness", reason="connected")
-    else:
-        quick = _component_split(p) if (kappa == 2 and disconnected) else None
-        r1 = _route(c, p, ("A'", "B'"), kappa, False, bound, builder1,
-                    2 * kappa, quick, "disconnected")
+    r1 = _route(c, p, prof, "A'B'", kappa, bound, builder1, 2 * kappa)
     certs["cov_A'B'_decision"] = r1.note()
     if r1.status == "built":
         certs["witness_covering"] = r1.witness.to_json()
@@ -244,19 +235,7 @@ def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
     # 2*kappa+1, first shape: depth-2 scaffold minus the apex tip over a
     # size-kappa covering meeting A'
     builder2 = lambda w: build_scaffold(c, p, w, 2, drop=(2,))
-    if kappa == 2 and prof.diameter < 5:
-        r2 = _Route("no-witness", reason="diam<5")
-    else:
-        quick = None
-        if kappa == 2 and prof.diameter >= 5:
-            n = p.n
-            u, v = next((a, b) for a in range(n) for b in range(n)
-                        if p.dist[a][b] >= 5)
-            m = p.ball_masks(2)[u]
-            quick = Covering(p, (frozenset(bits(m)),
-                                 frozenset(bits(p.full_mask & ~m))))
-        r2 = _route(c, p, ("A'",), kappa, False, bound, builder2,
-                    2 * kappa + 1, quick, "diam>=5")
+    r2 = _route(c, p, prof, "A'", kappa, bound, builder2, 2 * kappa + 1)
     certs["cov_A'_decision"] = r2.note()
     if r2.status == "built":
         certs["witness_covering"] = r2.witness.to_json()
@@ -268,13 +247,7 @@ def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
     # 2*kappa+1 with a heavy second stratum always contains a buildable
     # refined covering, so "no-build" here is an exact exclusion
     builder3 = lambda w: build_refined_scaffold(c, p, w)
-    if kappa == 2 and (prof.radius == 2 or prof.diameter <= 3):
-        r3 = _Route("no-witness", reason="r=2 or diam<=3")
-    elif kappa == 2 and prof.diameter == 4 and not two_ball_triple_check(p)[0]:
-        r3 = _Route("no-witness", reason="two-ball filter")
-    else:
-        r3 = _route(c, p, ("A", "A''", "B''"), kappa, True, bound, builder3,
-                    2 * kappa + 1)
+    r3 = _route(c, p, prof, "AA''B''", kappa, bound, builder3, 2 * kappa + 1)
     certs["cov_AA''B''_decision"] = r3.note()
     if r3.status == "built":
         certs["witness_covering"] = r3.witness.to_json()
@@ -295,10 +268,6 @@ def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
     return AppendageResult(Unresolved(2 * kappa + 1, 2 * kappa + 2),
                            "general center: 2k+1 shapes undecided",
                            certs, None)
-
-
-def _j(x):
-    return "inf" if x == INF else x
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ to the timing field.  Exit codes: 0 success, 1 domain infeasibility
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -24,7 +25,7 @@ from .codecs import encode_graph6, load_graph_text, to_dot
 from .coverings import (INFEASIBLE, cov_A, cov_profile, decide_cover_k)
 from .errors import BoundExceededError, DomainError, MalformedInputError, UcgError
 from .families import fixture_manifest, named_graph
-from .graphs import INF, Graph
+from .graphs import INF, Graph, json_number
 from .scaffolds import build_refined_scaffold, build_scaffold, verify_construction
 
 SCHEMA = "ucg-report/1"
@@ -32,7 +33,9 @@ SCHEMA = "ucg-report/1"
 _COND_TOKENS = {"a": "A", "b": "B", "a1": "A'", "b1": "B'", "a2": "A''", "b2": "B''"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="ucgkit",
         description="Exact computations on uniform central graphs.")
@@ -91,12 +94,6 @@ def _digest(g: Graph) -> dict:
             "sha256": hashlib.sha256(g6.encode()).hexdigest()}
 
 
-def _jnum(x):
-    if isinstance(x, float) and x == INF:
-        return "inf"
-    return x
-
-
 def _vertices(g: Graph, vs) -> dict:
     out = {"ids": sorted(vs)}
     if g.labels:
@@ -146,8 +143,8 @@ def _cmd_analyze(args, inputs):
     periphery = [v for v in range(g.n) if g.ecc[v] == a.diameter]
     result = {
         "n": g.n,
-        "radius": _jnum(a.radius),
-        "diameter": _jnum(a.diameter),
+        "radius": json_number(a.radius),
+        "diameter": json_number(a.diameter),
         "is_ucg": a.is_ucg,
         "center": _vertices(g, a.center),
         "centered_periphery": _vertices(g, a.centered_periphery),
@@ -244,7 +241,7 @@ def _cmd_construct(args, inputs):
             "is_ucg": rep.is_ucg,
             "center_matches": rep.center_matches,
             "periphery_matches": rep.periphery_matches,
-            "radius": _jnum(rep.radius),
+            "radius": json_number(rep.radius),
             "intermediate_count": rep.intermediate_count,
             "ok": rep.ok,
         },

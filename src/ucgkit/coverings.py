@@ -2,8 +2,12 @@
 
 A covering is a family of nonempty vertex sets whose union is the whole
 vertex set; blocks may overlap.  Six conditions (A, B, A', B', A'', B'')
-constrain how blocks sit inside the host metric; the package decides, at
-desk scale, the minimum covering sizes under several condition sets:
+constrain how blocks sit inside the host metric.  Each condition is
+written once, as a generator of its violations over block masks: the
+``check_*`` reporters list every violation with its failed sub-clauses,
+while ``covering_passes`` and the decision search stop at the first one.
+The package decides, at desk scale, the minimum covering sizes under
+several condition sets:
 
 * ``cov_A`` is solved exactly for any size via a reduction to set cover
   by complements of closed neighborhoods.
@@ -14,6 +18,9 @@ desk scale, the minimum covering sizes under several condition sets:
   clause on the partial assignment wherever its violation is monotone
   (no later vertex can repair it), so a pruned subtree holds no witness
   and the order is kept.
+* Diameter and radius facts settle many size-2 cases outright; they form
+  one table, ``TWO_BLOCK_FACTS``, read by ``cov_profile`` and by the
+  appendage engine.
 
 All distances are taken in the host graph; infinity satisfies every
 threshold, and the distance from an empty set is infinite.  Clauses that
@@ -24,10 +31,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
-from .graphs import INF, Graph, bits, mask_of, metric_profile
+from .graphs import INF, Graph, MetricProfile, bits, mask_of, metric_profile
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 
@@ -187,14 +194,25 @@ def _geometry(g: Graph):
 
 
 # --------------------------------------------------------------------------
-# fast pass/fail predicates on block masks (used by the decision engine)
+# the conditions, one violation generator each
+#
+# Each generator walks its subjects (blocks, block vertices, split sides)
+# in a fixed order and lazily yields (subject, tags) for each subject on
+# which every alternative of the condition fails, tags naming those
+# failed sub-clauses.  The reports list every violation; the decision
+# search only asks for the first one.
 
-def _passes_A(g: Graph, bm: Sequence[int]) -> bool:
+def _violations_A(g: Graph, bm: Sequence[int]):
+    """A: every block has an outside vertex at distance >= 2."""
     full, closed = g.full_mask, g.closed_masks
-    return all(_union_ball(closed, m) != full for m in bm)
+    for i, m in enumerate(bm):
+        if _union_ball(closed, m) == full:
+            yield f"block {i}", ("A",)
 
 
-def _passes_B(g: Graph, bm: Sequence[int]) -> bool:
+def _violations_B(g: Graph, bm: Sequence[int]):
+    """B: each vertex of each block has an outside vertex at distance >= 3
+    (B-1) or a sibling block entirely at distance >= 2 (B-2)."""
     closed, far3 = g.closed_masks, g.far_masks(3)
     for i, m in enumerate(bm):
         for p in bits(m):
@@ -202,11 +220,12 @@ def _passes_B(g: Graph, bm: Sequence[int]) -> bool:
                 continue
             if any(j != i and not (bm[j] & closed[p]) for j in range(len(bm))):
                 continue
-            return False
-    return True
+            yield f"vertex {p} in block {i}", ("B-1", "B-2")
 
 
-def _passes_Aprime(g: Graph, bm: Sequence[int]) -> bool:
+def _violations_Aprime(g: Graph, bm: Sequence[int]):
+    """A': every block has an outside vertex at distance >= 3 (A'-1) or a
+    sibling block entirely at distance >= 2 (A'-2)."""
     full, closed, ball2 = g.full_mask, g.closed_masks, g.ball_masks(2)
     for i, m in enumerate(bm):
         if _union_ball(ball2, m) != full:
@@ -214,20 +233,21 @@ def _passes_Aprime(g: Graph, bm: Sequence[int]) -> bool:
         nb1 = _union_ball(closed, m)
         if any(j != i and not (bm[j] & nb1) for j in range(len(bm))):
             continue
-        return False
-    return True
+        yield f"block {i}", ("A'-1", "A'-2")
 
 
-def _passes_Bprime(g: Graph, bm: Sequence[int]) -> bool:
+def _violations_Bprime(g: Graph, bm: Sequence[int]):
+    """B': every vertex of every block has a sibling block entirely at
+    distance >= 2."""
     closed = g.closed_masks
     for i, m in enumerate(bm):
         for p in bits(m):
             if not any(j != i and not (bm[j] & closed[p]) for j in range(len(bm))):
-                return False
-    return True
+                yield f"vertex {p} in block {i}", ("B'",)
 
 
-def _passes_Adp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int) -> bool:
+def _violations_Adp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int):
+    """A'' on the split Q0 | Q1 of block ``iota``."""
     full, closed, ball2 = g.full_mask, g.closed_masks, g.ball_masks(2)
     k = len(bm)
     for i in range(k):
@@ -240,18 +260,18 @@ def _passes_Adp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int) -> boo
             continue
         if not (q0 & nb1) or not (q1 & nb1):                     # A''-1c
             continue
-        return False
-    for ql in (q0, q1):
+        yield f"block {i}", ("A''-1a", "A''-1b", "A''-1c")
+    for l, ql in ((0, q0), (1, q1)):
         if full & ~bm[iota] & ~_union_ball(ball2, ql):           # A''-2a
             continue
         nbq = _union_ball(closed, ql)
         if any(j != iota and not (bm[j] & nbq) for j in range(k)):  # A''-2b
             continue
-        return False
-    return True
+        yield f"Q{l}", ("A''-2a", "A''-2b")
 
 
-def _passes_Bdp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int) -> bool:
+def _violations_Bdp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int):
+    """B'' on the split Q0 | Q1 of block ``iota``."""
     closed, ball2, far4 = g.closed_masks, g.ball_masks(2), g.far_masks(4)
     k = len(bm)
     for i in range(k):
@@ -267,15 +287,28 @@ def _passes_Bdp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int) -> boo
             if any(not (ql & closed[p]) and (ql & far4[p])       # B''-1d
                    for ql in (q0, q1)):
                 continue
-            return False
-    for ql, qo in ((q0, q1), (q1, q0)):
+            yield (f"vertex {p} in block {i}",
+                   ("B''-1a", "B''-1b", "B''-1c", "B''-1d"))
+    for l, ql, qo in ((0, q0, q1), (1, q1, q0)):
         for p in bits(ql):
             if any(j != iota and not (bm[j] & closed[p]) for j in range(k)):  # B''-2a
                 continue
             if (far4[p] & bm[iota] & ~ql) and not (qo & closed[p]):  # B''-2b
                 continue
-            return False
-    return True
+            yield f"vertex {p} in Q{l}", ("B''-2a", "B''-2b")
+
+
+_VIOLATIONS = {"A": _violations_A, "B": _violations_B,
+               "A'": _violations_Aprime, "B'": _violations_Bprime}
+
+
+def _report(condition: str, violations) -> ConditionReport:
+    bad = tuple((subject, tag) for subject, tags in violations for tag in tags)
+    return ConditionReport(condition, not bad, bad)
+
+
+def _holds(violations) -> bool:
+    return next(violations, None) is None
 
 
 # --------------------------------------------------------------------------
@@ -283,61 +316,26 @@ def _passes_Bdp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int) -> boo
 
 def check_A(c: Covering) -> ConditionReport:
     """Condition A: every block has an outside vertex at distance >= 2."""
-    g = c.host
-    bad = []
-    for i, m in enumerate(c.block_masks()):
-        if _union_ball(g.closed_masks, m) == g.full_mask:
-            bad.append((f"block {i}", "A"))
-    return ConditionReport("A", not bad, tuple(bad))
+    return _report("A", _violations_A(c.host, c.block_masks()))
 
 
 def check_B(c: Covering) -> ConditionReport:
     """Condition B: each vertex of each block escapes, either via some
     vertex outside the block at distance >= 3 (B-1) or via a sibling
     block entirely at distance >= 2 (B-2)."""
-    g = c.host
-    bm = c.block_masks()
-    closed, far3 = g.closed_masks, g.far_masks(3)
-    bad = []
-    for i, m in enumerate(bm):
-        for p in bits(m):
-            c1 = bool(far3[p] & ~m)
-            c2 = any(j != i and not (bm[j] & closed[p]) for j in range(len(bm)))
-            if not (c1 or c2):
-                subject = f"vertex {p} in block {i}"
-                bad.append((subject, "B-1"))
-                bad.append((subject, "B-2"))
-    return ConditionReport("B", not bad, tuple(bad))
+    return _report("B", _violations_B(c.host, c.block_masks()))
 
 
 def check_Aprime(c: Covering) -> ConditionReport:
     """Condition A': every block has an outside vertex at distance >= 3
     (A'-1) or a sibling block entirely at distance >= 2 (A'-2)."""
-    g = c.host
-    bm = c.block_masks()
-    bad = []
-    for i, m in enumerate(bm):
-        c1 = bool(g.full_mask & ~_union_ball(g.ball_masks(2), m))
-        nb1 = _union_ball(g.closed_masks, m)
-        c2 = any(j != i and not (bm[j] & nb1) for j in range(len(bm)))
-        if not (c1 or c2):
-            bad.append((f"block {i}", "A'-1"))
-            bad.append((f"block {i}", "A'-2"))
-    return ConditionReport("A'", not bad, tuple(bad))
+    return _report("A'", _violations_Aprime(c.host, c.block_masks()))
 
 
 def check_Bprime(c: Covering) -> ConditionReport:
     """Condition B': every vertex of every block has a sibling block
     entirely at distance >= 2."""
-    g = c.host
-    bm = c.block_masks()
-    closed = g.closed_masks
-    bad = []
-    for i, m in enumerate(bm):
-        for p in bits(m):
-            if not any(j != i and not (bm[j] & closed[p]) for j in range(len(bm))):
-                bad.append((f"vertex {p} in block {i}", "B'"))
-    return ConditionReport("B'", not bad, tuple(bad))
+    return _report("B'", _violations_Bprime(c.host, c.block_masks()))
 
 
 def check_AdpBdp(rc: RefinedCovering) -> tuple[ConditionReport, ConditionReport]:
@@ -346,76 +344,28 @@ def check_AdpBdp(rc: RefinedCovering) -> tuple[ConditionReport, ConditionReport]
     Distances from an empty Q_1 are infinite, so threshold clauses about
     it hold vacuously; clauses demanding a witness inside Q_1 fail.
     """
-    g = rc.base.host
-    bm = rc.base.block_masks()
-    iota = rc.iota
-    q0, q1 = mask_of(rc.q0), mask_of(rc.q1)
-    full, closed, ball2 = g.full_mask, g.closed_masks, g.ball_masks(2)
-    far4 = g.far_masks(4)
-    k = len(bm)
-
-    a_bad: list[tuple[str, str]] = []
-    for i in range(k):
-        if i == iota:
-            continue
-        c1a = bool(full & ~_union_ball(ball2, bm[i]))
-        nb1 = _union_ball(closed, bm[i])
-        c1b = any(j != iota and not (bm[j] & nb1) for j in range(k))
-        c1c = not (q0 & nb1) or not (q1 & nb1)
-        if not (c1a or c1b or c1c):
-            subject = f"block {i}"
-            a_bad += [(subject, "A''-1a"), (subject, "A''-1b"), (subject, "A''-1c")]
-    for l, ql in ((0, q0), (1, q1)):
-        c2a = bool(full & ~bm[iota] & ~_union_ball(ball2, ql))
-        nbq = _union_ball(closed, ql)
-        c2b = any(j != iota and not (bm[j] & nbq) for j in range(k))
-        if not (c2a or c2b):
-            a_bad += [(f"Q{l}", "A''-2a"), (f"Q{l}", "A''-2b")]
-
-    b_bad: list[tuple[str, str]] = []
-    for i in range(k):
-        if i == iota:
-            continue
-        for p in bits(bm[i]):
-            c1a = any(j != iota and not (bm[j] & closed[p]) for j in range(k))
-            c1b = not (q0 & closed[p]) and not (q1 & closed[p])
-            c1c = not (q0 & ball2[p]) or not (q1 & ball2[p])
-            c1d = any(not (ql & closed[p]) and (ql & far4[p]) for ql in (q0, q1))
-            if not (c1a or c1b or c1c or c1d):
-                subject = f"vertex {p} in block {i}"
-                b_bad += [(subject, "B''-1a"), (subject, "B''-1b"),
-                          (subject, "B''-1c"), (subject, "B''-1d")]
-    for l, ql, qo in ((0, q0, q1), (1, q1, q0)):
-        for p in bits(ql):
-            c2a = any(j != iota and not (bm[j] & closed[p]) for j in range(k))
-            c2b = bool(far4[p] & bm[iota] & ~ql) and not (qo & closed[p])
-            if not (c2a or c2b):
-                subject = f"vertex {p} in Q{l}"
-                b_bad += [(subject, "B''-2a"), (subject, "B''-2b")]
-
-    return (ConditionReport("A''", not a_bad, tuple(a_bad)),
-            ConditionReport("B''", not b_bad, tuple(b_bad)))
-
-
-_CHECKERS = {"A": check_A, "B": check_B, "A'": check_Aprime, "B'": check_Bprime}
+    args = (rc.base.host, rc.base.block_masks(), rc.iota,
+            mask_of(rc.q0), mask_of(rc.q1))
+    return (_report("A''", _violations_Adp(*args)),
+            _report("B''", _violations_Bdp(*args)))
 
 
 def covering_passes(c: Covering | RefinedCovering, conds: Iterable[str]) -> bool:
     """Re-verify a covering (or refined covering) against named conditions."""
     conds = set(conds)
-    base = c.base if isinstance(c, RefinedCovering) else c
-    for tag in sorted(conds & set(_CHECKERS)):
-        if not _CHECKERS[tag](base).passed:
-            return False
+    refined = isinstance(c, RefinedCovering)
+    base = c.base if refined else c
+    g, bm = base.host, base.block_masks()
+    checks = [_VIOLATIONS[tag](g, bm) for tag in sorted(conds & _VIOLATIONS.keys())]
     if conds & {"A''", "B''"}:
-        if not isinstance(c, RefinedCovering):
+        if not refined:
             return False
-        ra, rb = check_AdpBdp(c)
-        if "A''" in conds and not ra.passed:
-            return False
-        if "B''" in conds and not rb.passed:
-            return False
-    return True
+        split = (c.iota, mask_of(c.q0), mask_of(c.q1))
+        if "A''" in conds:
+            checks.append(_violations_Adp(g, bm, *split))
+        if "B''" in conds:
+            checks.append(_violations_Bdp(g, bm, *split))
+    return all(map(_holds, checks))
 
 
 # --------------------------------------------------------------------------
@@ -632,14 +582,10 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool):
                             if bl[i] >> u & 1 and fu & ~bl[i] == vb]
         return out
 
+    plain = [_VIOLATIONS[c] for c in ("A", "A'", "B", "B'") if c in conds]
+
     def leaf(bm: tuple[int, ...]):
-        if "A" in conds and not _passes_A(host, bm):
-            return
-        if "A'" in conds and not _passes_Aprime(host, bm):
-            return
-        if "B" in conds and not _passes_B(host, bm):
-            return
-        if "B'" in conds and not _passes_Bprime(host, bm):
+        if not all(_holds(violations(host, bm)) for violations in plain):
             return
         if not refine:
             yield bm, None
@@ -719,9 +665,9 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset):
 
     def rec(t: int, q0: int, q1: int, b0: int, b1: int, c0: int, c1: int):
         if t == len(vs):
-            if need_a and not _passes_Adp(g, bm, 0, q0, q1):
+            if need_a and not _holds(_violations_Adp(g, bm, 0, q0, q1)):
                 return
-            if need_b and not _passes_Bdp(g, bm, 0, q0, q1):
+            if need_b and not _holds(_violations_Bdp(g, bm, 0, q0, q1)):
                 return
             yield q0, q1
             return
@@ -828,7 +774,8 @@ def construct_AB_bipartition(p: Graph) -> Covering:
 
 PROFILE_KEYS = ("A", "AB", "A'", "A'B'", "AA''B''")
 
-_PROFILE_CONDS = {
+#: The condition set of each profile key past "A".
+PROFILE_CONDS = {
     "AB": frozenset(("A", "B")),
     "A'": frozenset(("A'",)),
     "A'B'": frozenset(("A'", "B'")),
@@ -842,6 +789,77 @@ def _component_split(p: Graph) -> Covering:
                         frozenset(bits(p.full_mask & ~comp))))
 
 
+def _refined_component_split(p: Graph) -> RefinedCovering:
+    base = _component_split(p)
+    return RefinedCovering(base, 0, base.blocks[0], frozenset())
+
+
+def _far_split(p: Graph) -> Covering:
+    """Two blocks at diameter >= 5: the components when disconnected, else
+    the 2-ball of the first vertex of eccentricity >= 5 and the rest."""
+    if not p.is_connected:
+        return _component_split(p)
+    m = p.ball_masks(2)[next(u for u in range(p.n) if p.ecc[u] >= 5)]
+    return Covering(p, (frozenset(bits(m)), frozenset(bits(p.full_mask & ~m))))
+
+
+@dataclass(frozen=True)
+class TwoBlockFact:
+    """A diameter/radius fact settling whether a size-2 covering exists.
+
+    ``build`` makes one when it exists; ``None`` means none exists.
+    ``method`` names the fact in ``cov_profile`` results and ``reason``
+    in the appendage engine's certificates.
+    """
+
+    holds: Callable[[Graph, MetricProfile], bool]
+    build: Callable[[Graph], Covering | RefinedCovering] | None
+    method: str
+    reason: str
+
+
+def _disconnected(p: Graph, prof: MetricProfile) -> bool:
+    return not p.is_connected
+
+
+#: Per profile key, the size-2 facts in the order they are tried.
+TWO_BLOCK_FACTS = {
+    "AB": (
+        TwoBlockFact(lambda p, prof: prof.diameter >= 4 and prof.radius >= 3,
+                     construct_AB_bipartition, "shortcut-bipartition", "diam>=4,r>=3"),
+        TwoBlockFact(lambda p, prof: prof.radius == 2,
+                     None, "shortcut-r2", "r=2"),
+    ),
+    "A'": (
+        TwoBlockFact(lambda p, prof: prof.diameter >= 5,
+                     _far_split, "shortcut-diam>=5", "diam>=5"),
+        TwoBlockFact(lambda p, prof: prof.diameter < 5,
+                     None, "shortcut-diam<5", "diam<5"),
+    ),
+    "A'B'": (
+        TwoBlockFact(_disconnected,
+                     _component_split, "shortcut-disconnected", "disconnected"),
+        TwoBlockFact(lambda p, prof: p.is_connected,
+                     None, "shortcut-connected", "connected"),
+    ),
+    "AA''B''": (
+        TwoBlockFact(_disconnected,
+                     _refined_component_split, "shortcut-disconnected", "disconnected"),
+        TwoBlockFact(lambda p, prof: prof.radius == 2 or prof.diameter <= 3,
+                     None, "shortcut-r2-or-diam<=3", "r=2 or diam<=3"),
+        TwoBlockFact(lambda p, prof: (prof.diameter == 4
+                                      and not two_ball_triple_check(p)[0]),
+                     None, "shortcut-two-balls", "two-ball filter"),
+    ),
+}
+
+
+def two_block_fact(p: Graph, prof: MetricProfile, key: str) -> TwoBlockFact | None:
+    """The first fact of profile key ``key`` that holds for ``p``, whose
+    metric profile is ``prof``; ``None`` when no fact settles size 2."""
+    return next((f for f in TWO_BLOCK_FACTS[key] if f.holds(p, prof)), None)
+
+
 def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     """Minimum covering sizes for all condition sets, shortcuts first.
 
@@ -851,8 +869,9 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     disconnected graphs; cov_{A'} = 2 exactly for diameter >= 5; and
     cov_{AA''B''} = 2 needs diameter >= 4, radius >= 3 and (at diameter
     exactly 4) a vertex triple with empty common 2-ball intersection.
-    Everything left over goes to the bounded decision procedure; what it
-    cannot settle is reported UNKNOWN with the bound that stopped it.
+    These are the rows of ``TWO_BLOCK_FACTS``.  Everything left over goes
+    to the bounded decision procedure; what it cannot settle is reported
+    UNKNOWN with the bound that stopped it.
     """
     res_a = cov_A(p)
     if not res_a.found:
@@ -862,10 +881,12 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     kappa = res_a.value
     prof = metric_profile(p)
     n = p.n
-    disconnected = not p.is_connected
 
-    def settle(key: str, lo: int, shortcut: str | None, refine: bool) -> CovSizeResult:
-        conds = _PROFILE_CONDS[key]
+    def bound_at(k: int) -> int:
+        return _decide_bound(k) if bound is None else bound
+
+    def settle(key: str, lo: int, shortcut: str | None) -> CovSizeResult:
+        conds = PROFILE_CONDS[key]
         lo = max(lo, kappa)
         if kappa == n:
             # singleton blocks satisfy every condition set when the radius
@@ -882,64 +903,28 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
         method = shortcut or "decide-k"
         for k in ks:
             try:
-                dec = decide_cover_k(p, k, conds, refine=refine, bound=bound)
+                dec = decide_cover_k(p, k, conds, refine=key == "AA''B''", bound=bound)
             except BoundExceededError:
-                return CovSizeResult(key, Unknown(lo, n, _decide_bound(k)), None,
+                return CovSizeResult(key, Unknown(lo, n, bound_at(k)), None,
                                      method if shortcut else f"bound@k={k}")
             if dec.found:
                 return CovSizeResult(key, k, dec.witness,
                                      "decide-k" if shortcut is None else
                                      f"{shortcut}+decide-k")
             lo = k + 1
-        return CovSizeResult(key, Unknown(lo, n, _decide_bound(max(ks, default=3))),
+        return CovSizeResult(key, Unknown(lo, n, bound_at(max(ks, default=3))),
                              None, method)
 
-    # cov_AB ------------------------------------------------------------
-    if prof.diameter >= 4 and prof.radius >= 3:
-        out["AB"] = CovSizeResult("AB", 2, construct_AB_bipartition(p),
-                                  "shortcut-bipartition")
-    elif prof.radius == 2:
-        out["AB"] = settle("AB", 3, "shortcut-r2", refine=False)
-    else:
-        out["AB"] = settle("AB", 2, None, refine=False)
-
-    # cov_A' -------------------------------------------------------------
-    if prof.diameter >= 5:
-        if disconnected:
-            wit: Covering = _component_split(p)
+    for key in PROFILE_KEYS[1:]:
+        fact = two_block_fact(p, prof, key)
+        if fact is None:
+            out[key] = settle(key, 2, None)
+        elif fact.build is None:
+            out[key] = settle(key, 3, fact.method)
         else:
-            u, v = next((a, b) for a in range(n) for b in range(n)
-                        if p.dist[a][b] >= 5)
-            m = p.ball_masks(2)[u]
-            wit = Covering(p, (frozenset(bits(m)),
-                               frozenset(bits(p.full_mask & ~m))))
-        if not check_Aprime(wit).passed:
-            raise InternalCheckError("diameter>=5 split failed A' re-check")
-        out["A'"] = CovSizeResult("A'", 2, wit, "shortcut-diam>=5")
-    else:
-        out["A'"] = settle("A'", 3, "shortcut-diam<5", refine=False)
-
-    # cov_A'B' -----------------------------------------------------------
-    if disconnected:
-        wit = _component_split(p)
-        if not (check_Aprime(wit).passed and check_Bprime(wit).passed):
-            raise InternalCheckError("component split failed A'/B' re-check")
-        out["A'B'"] = CovSizeResult("A'B'", 2, wit, "shortcut-disconnected")
-    else:
-        out["A'B'"] = settle("A'B'", 3, "shortcut-connected", refine=False)
-
-    # cov_AA''B'' ----------------------------------------------------------
-    if disconnected:
-        base = _component_split(p)
-        wit_r = RefinedCovering(base, 0, base.blocks[0], frozenset())
-        if not covering_passes(wit_r, ("A", "A''", "B''")):
-            raise InternalCheckError("component split failed A''/B'' re-check")
-        out["AA''B''"] = CovSizeResult("AA''B''", 2, wit_r, "shortcut-disconnected")
-    elif prof.radius == 2 or prof.diameter <= 3:
-        out["AA''B''"] = settle("AA''B''", 3, "shortcut-r2-or-diam<=3", refine=True)
-    elif prof.diameter == 4 and not two_ball_triple_check(p)[0]:
-        out["AA''B''"] = settle("AA''B''", 3, "shortcut-two-balls", refine=True)
-    else:
-        out["AA''B''"] = settle("AA''B''", 2, None, refine=True)
-
+            wit = fact.build(p)
+            if not covering_passes(wit, PROFILE_CONDS[key]):
+                raise InternalCheckError(
+                    f"{fact.method} witness failed its {key} re-check")
+            out[key] = CovSizeResult(key, 2, wit, fact.method)
     return out

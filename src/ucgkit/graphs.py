@@ -24,6 +24,11 @@ INF = math.inf
 Dist = float
 
 
+def json_number(x):
+    """``x`` as a JSON value: the string "inf" for infinity, else ``x``."""
+    return "inf" if x == INF else x
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import ucgkit as U
-from ucgkit.cli import main, run_command
+from ucgkit.cli import build_parser, main, run_command
 
 
 def run(argv):
@@ -182,6 +182,9 @@ class TestMainEntry:
         assert main(["analyze", "--periphery", "c4", f"--json={path}"]) == 0
         assert json.loads(path.read_text())["result"]["radius"] == 2
         assert capsys.readouterr().out == ""
+
+    def test_parser_built_once_per_process(self):
+        assert build_parser() is build_parser()
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["analyze", "--periphery", "no_such_thing_42"]) == 2

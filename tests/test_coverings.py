@@ -497,3 +497,139 @@ class TestProfile:
                              "A'B'": ("A'", "B'"),
                              "AA''B''": ("A", "A''", "B''")}[key]
                     assert U.covering_passes(res.witness, conds), (key, res)
+
+
+class TestProfileBound:
+    def test_unknown_reports_the_bound_in_force(self):
+        # n = 7 > 5 stops every decision at k = 2
+        prof = cov_profile(Graph.cycle(7), bound=5)
+        for key in ("AB", "A'", "A'B'", "AA''B''"):
+            assert prof[key].value.bound == 5, key
+
+    def test_exhausted_ladder_reports_the_bound_in_force(self):
+        prof = cov_profile(Graph.cycle(7), bound=20)
+        assert prof["A'"].value == Unknown(4, 7, 20)
+        assert prof["A'B'"].value == Unknown(4, 7, 20)
+
+
+@st.composite
+def _refined_case(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    pat = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n, max_size=n))
+    for i in range(k):  # every block gets a vertex
+        if not any(x >> i & 1 for x in pat):
+            pat[i % n] |= 1 << i
+    blocks = tuple(frozenset(v for v in range(n) if pat[v] >> i & 1)
+                   for i in range(k))
+    vs = sorted(blocks[0])
+    sides = draw(st.lists(st.integers(1, 3), min_size=len(vs), max_size=len(vs)))
+    sides[0] |= 1  # Q0 is nonempty
+    q0 = frozenset(v for v, s in zip(vs, sides) if s & 1)
+    q1 = frozenset(v for v, s in zip(vs, sides) if s & 2)
+    return g, blocks, q0, q1
+
+
+class TestCheckersAgainstOracleRandom:
+    @settings(max_examples=300, deadline=None)
+    @given(_refined_case())
+    def test_reports_match_literal_conditions(self, case):
+        g, blocks, q0, q1 = case
+        c = Covering(g, blocks)
+        assert check_A(c).passed == oracles.cond_A(g, blocks)
+        assert check_B(c).passed == oracles.cond_B(g, blocks)
+        assert check_Aprime(c).passed == oracles.cond_Aprime(g, blocks)
+        assert check_Bprime(c).passed == oracles.cond_Bprime(g, blocks)
+        ra, rb = check_AdpBdp(RefinedCovering(c, 0, q0, q1))
+        assert ra.passed == oracles.cond_Adp(g, blocks, 0, q0, q1)
+        assert rb.passed == oracles.cond_Bdp(g, blocks, 0, q0, q1)
+
+
+def _each_tag(subjects, tags):
+    return tuple((s, t) for s in subjects for t in tags)
+
+
+_B12 = ("B-1", "B-2")
+_AP12 = ("A'-1", "A'-2")
+_ADP2 = ("A''-2a", "A''-2b")
+_BDP1 = ("B''-1a", "B''-1b", "B''-1c", "B''-1d")
+_BDP2 = ("B''-2a", "B''-2b")
+
+
+class TestViolationOrder:
+    """Full violation tuples, order included, on fixed coverings; the
+    refined reports use the split Q0 = block 0, Q1 = {} unless noted."""
+
+    def reports(self, c, q0=None, q1=frozenset()):
+        rc = RefinedCovering(c, 0, c.blocks[0] if q0 is None else q0, q1)
+        return ((check_A(c), check_B(c), check_Aprime(c), check_Bprime(c))
+                + check_AdpBdp(rc))
+
+    def assert_violations(self, reports, expected):
+        assert [r.condition for r in reports] == ["A", "B", "A'", "B'", "A''", "B''"]
+        for rep, exp in zip(reports, expected):
+            assert rep.violations == exp, rep.condition
+            assert rep.passed == (not exp)
+
+    def test_c4_halves(self):
+        c = cover(Graph.cycle(4), {0, 1}, {2, 3})
+        self.assert_violations(self.reports(c), [
+            (("block 0", "A"), ("block 1", "A")),
+            _each_tag([f"vertex {p} in block {p // 2}" for p in range(4)], _B12),
+            _each_tag(["block 0", "block 1"], _AP12),
+            tuple((f"vertex {p} in block {p // 2}", "B'") for p in range(4)),
+            _each_tag(["Q0"], _ADP2),
+            _each_tag(["vertex 0 in Q0", "vertex 1 in Q0"], _BDP2),
+        ])
+        ra, rb = self.reports(c, frozenset({0}), frozenset({1}))[4:]
+        assert ra.violations == (
+            (("block 1", "A''-1a"), ("block 1", "A''-1b"), ("block 1", "A''-1c"))
+            + _each_tag(["Q0", "Q1"], _ADP2))
+        assert rb.violations == (
+            _each_tag(["vertex 2 in block 1", "vertex 3 in block 1"], _BDP1)
+            + _each_tag(["vertex 0 in Q0", "vertex 1 in Q1"], _BDP2))
+
+    def test_p4_halves(self):
+        c = cover(Graph.path(4), {0, 1}, {2, 3})
+        self.assert_violations(self.reports(c), [
+            (),
+            _each_tag(["vertex 1 in block 0", "vertex 2 in block 1"], _B12),
+            _each_tag(["block 0", "block 1"], _AP12),
+            (("vertex 1 in block 0", "B'"), ("vertex 2 in block 1", "B'")),
+            _each_tag(["Q0"], _ADP2),
+            _each_tag(["vertex 1 in Q0"], _BDP2),
+        ])
+        ra, rb = self.reports(c, frozenset({0}), frozenset({1}))[4:]
+        assert ra.violations == _each_tag(["Q1"], _ADP2)
+        assert rb.violations == (_each_tag(["vertex 2 in block 1"], _BDP1)
+                                 + _each_tag(["vertex 1 in Q1"], _BDP2))
+
+    def test_c5_one_block(self):
+        c = cover(Graph.cycle(5), range(5))
+        self.assert_violations(self.reports(c), [
+            (("block 0", "A"),),
+            _each_tag([f"vertex {p} in block 0" for p in range(5)], _B12),
+            _each_tag(["block 0"], _AP12),
+            tuple((f"vertex {p} in block 0", "B'") for p in range(5)),
+            _each_tag(["Q0", "Q1"], _ADP2),
+            _each_tag([f"vertex {p} in Q0" for p in range(5)], _BDP2),
+        ])
+
+    def test_prism7_cover_empty_q1(self, prism7):
+        blocks = U.prism7_refined_cover().extras["blocks"]
+        c = cover(prism7, *blocks)
+        assert [sorted(b) for b in c.blocks] == [[0, 1, 2, 3, 7, 8, 9, 10, 11],
+                                                 [4, 5, 6, 12, 13]]
+        self.assert_violations(self.reports(c), [
+            (),
+            (),
+            _each_tag(["block 0"], _AP12),
+            tuple((f"vertex {p} in block {i}", "B'")
+                  for i, p in ((0, 0), (0, 3), (0, 7), (0, 11),
+                               (1, 4), (1, 6), (1, 12), (1, 13))),
+            _each_tag(["Q0"], _ADP2),
+            _each_tag([f"vertex {p} in Q0" for p in (0, 3, 7, 11)], _BDP2),
+        ])
