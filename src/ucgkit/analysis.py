@@ -10,11 +10,14 @@ has the same eccentric set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Mapping
 
 from .coverings import Covering
 from .errors import NotSpanningSubgraphError, NotUcgError, RadiusTooSmallError
-from .graphs import INF, Dist, Graph, induced_subgraph, metric_profile
+from .graphs import (INF, Dist, Graph, bfs_layers, bits, induced_subgraph, mask_of,
+                     metric_profile)
 
 
 @dataclass(frozen=True)
@@ -39,40 +42,33 @@ class UcgAnalysis:
 
 def eccentric_set(g: Graph, v: int) -> frozenset[int]:
     """EC(v): the vertices realizing v's eccentricity."""
-    row = g.dist[v]
-    e = g.ecc[v]
-    return frozenset(u for u in range(g.n) if row[u] == e)
+    return frozenset(bits(g.ecc_masks[v]))
 
 
 def ucg_analysis(g: Graph) -> UcgAnalysis:
     prof = metric_profile(g)
-    vertices = frozenset(range(g.n))
-    center = frozenset(v for v in range(g.n) if g.ecc[v] == prof.radius)
-    ec_map = {z: eccentric_set(g, z) for z in sorted(center)}
-    cp = frozenset().union(*ec_map.values()) if ec_map else frozenset()
-    connected = prof.radius is not INF
-    if connected:
-        strata = _strata(g, center, int(prof.radius))
-        uniform = len({ec for ec in ec_map.values()}) == 1
+    central = [v for v in range(g.n) if g.ecc[v] == prof.radius]
+    ec_masks = [g.ecc_masks[z] for z in central]
+    center_mask, cp_mask = mask_of(central), reduce(or_, ec_masks)
+    if prof.radius is not INF:
+        # the strata run to the radius even when the last ones are empty
+        layers = bfs_layers(g.adj_masks, center_mask)[0]
+        layers += [0] * (int(prof.radius) + 1 - len(layers))
+        strata = tuple(frozenset(bits(m)) for m in layers)
     else:
-        strata = (vertices,)
-        uniform = False
+        strata = (frozenset(range(g.n)),)
     return UcgAnalysis(
-        center=center,
-        ec_map=ec_map,
-        centered_periphery=cp,
-        intermediate=vertices - center - cp,
+        center=frozenset(central),
+        ec_map={z: frozenset(bits(m)) for z, m in zip(central, ec_masks)},
+        centered_periphery=frozenset(bits(cp_mask)),
+        intermediate=frozenset(bits(g.full_mask & ~(center_mask | cp_mask))),
         strata=strata,
-        is_ucg=uniform,
+        # a disconnected graph has every vertex central, each missing just
+        # the components it is not in, so the eccentric sets differ
+        is_ucg=len(set(ec_masks)) == 1,
         radius=prof.radius,
         diameter=prof.diameter,
     )
-
-
-def _strata(g: Graph, center: frozenset[int], radius: int) -> tuple[frozenset[int], ...]:
-    d_to_center = [min(g.dist[z][v] for z in center) for v in range(g.n)]
-    return tuple(frozenset(v for v in range(g.n) if d_to_center[v] == m)
-                 for m in range(radius + 1))
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,11 @@ def induced_covering(h: Graph, analysis: UcgAnalysis | None = None) -> InducedCo
     if a.radius <= 1:
         raise RadiusTooSmallError(f"need radius >= 2, got {a.radius}")
     r = int(a.radius)
-    cp = a.centered_periphery
+    cp = mask_of(a.centered_periphery)
     d1 = []
     blocks = []
     for x in sorted(a.strata[1]):
-        blk = frozenset(p for p in cp if h.dist[x][p] == r - 1)
+        blk = frozenset(bits(h.layers[x][r - 1] & cp))
         if blk:
             d1.append(x)
             blocks.append(blk)
@@ -119,8 +115,7 @@ def induced_covering(h: Graph, analysis: UcgAnalysis | None = None) -> InducedCo
     # repeatedly drop the lowest-indexed block swallowed by the others
     while True:
         for pos, i in enumerate(kept):
-            rest = frozenset().union(*(blocks[j] for j in kept if j != i)) \
-                if len(kept) > 1 else frozenset()
+            rest = frozenset().union(*(blocks[j] for j in kept if j != i))
             if blocks[i] <= rest:
                 del kept[pos]
                 break
@@ -128,8 +123,7 @@ def induced_covering(h: Graph, analysis: UcgAnalysis | None = None) -> InducedCo
             break
     witnesses = {}
     for i in kept:
-        others = frozenset().union(*(blocks[j] for j in kept if j != i)) \
-            if len(kept) > 1 else frozenset()
+        others = frozenset().union(*(blocks[j] for j in kept if j != i))
         witnesses[i] = min(blocks[i] - others)
     return InducedCoverResult(tuple(d1), tuple(blocks), tuple(kept), witnesses)
 
@@ -153,7 +147,7 @@ def distance_preserving_spanning_check(h: Graph, g: Graph,
     means g is a UCG with the same center and centered periphery."""
     if g.n != h.n:
         raise NotSpanningSubgraphError("vertex sets differ")
-    if not set(g.edges) <= set(h.edges):
+    if any(gm & ~hm for gm, hm in zip(g.adj_masks, h.adj_masks)):
         raise NotSpanningSubgraphError("edge set is not a subset of the host's")
-    return all(g.dist[c][x] == h.dist[c][x]
-               for c in center_set for x in range(g.n))
+    # the layers from c fix every distance from c, infinite ones included
+    return all(g.layers[c] == h.layers[c] for c in center_set)

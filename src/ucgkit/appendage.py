@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations
 
-from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, cov_A,
-                        iter_covering_witnesses, singleton_covering, two_block_fact)
+from .coverings import (PROFILE_CONDS, Covering, cov_A, iter_covering_witnesses,
+                        singleton_witness, two_block_fact)
 from .errors import BoundExceededError, InternalCheckError
-from .graphs import INF, Graph, MetricProfile, json_number, metric_profile
+from .graphs import INF, Graph, MetricProfile, bfs_layers, json_number, metric_profile
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
                         build_scaffold, verify_construction)
 
@@ -143,10 +143,7 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
         if s is not None:
             return _Route("built", quick, s, fact.reason)
     if kappa == p.n:
-        base = singleton_covering(p)
-        wit: Covering | RefinedCovering = base
-        if refine:
-            wit = RefinedCovering(base, 0, base.blocks[0], frozenset())
+        wit = singleton_witness(p, key)
         s = _try(builder, wit, c, p, expect)
         if s is not None:
             return _Route("built", wit, s, "singletons")
@@ -344,13 +341,7 @@ def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
     n = nc + np_ + t
     full = (1 << n) - 1
     p_mask = ((1 << np_) - 1) << nc
-    base = [0] * n
-    for u, v in c.edges:
-        base[u] |= 1 << v
-        base[v] |= 1 << u
-    for u, v in p.edges:
-        base[u + nc] |= 1 << (v + nc)
-        base[v + nc] |= 1 << (u + nc)
+    base = list(c.adj_masks) + [m << nc for m in p.adj_masks] + [0] * t
 
     if t == 0:
         pairs = [(u, v + nc) for u in range(nc) for v in range(np_)]
@@ -403,36 +394,11 @@ def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
 def _accepts(rows: list[int], nc: int, n: int, full: int, p_mask: int) -> bool:
     r_star = -1
     for src in range(nc):
-        ecc, far, seen = _ecc_info(rows, src)
-        if seen != full:
-            return False
-        if far != p_mask:
+        layers, seen = bfs_layers(rows, 1 << src)
+        if seen != full or layers[-1] != p_mask:
             return False
         if r_star < 0:
-            r_star = ecc
-        elif ecc != r_star:
+            r_star = len(layers) - 1
+        elif len(layers) - 1 != r_star:
             return False
-    for src in range(nc, n):
-        ecc, _, _ = _ecc_info(rows, src)
-        if ecc <= r_star:
-            return False
-    return True
-
-
-def _ecc_info(rows: list[int], src: int) -> tuple[int, int, int]:
-    seen = frontier = last = 1 << src
-    d = 0
-    while True:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= rows[low.bit_length() - 1]
-            m ^= low
-        nxt &= ~seen
-        if not nxt:
-            return d, last, seen
-        d += 1
-        last = nxt
-        seen |= nxt
-        frontier = nxt
+    return all(len(bfs_layers(rows, 1 << src)[0]) - 1 > r_star for src in range(nc, n))

@@ -19,7 +19,7 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
     bits: list[int] = []
     for j in range(1, g.n):
         for i in range(j):
-            bits.append(1 if j in g.adj[i] else 0)
+            bits.append(g.adj_masks[i] >> j & 1)
     while len(bits) % 6:
         bits.append(0)
     for pos in range(0, len(bits), 6):

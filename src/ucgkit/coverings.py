@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
-from .graphs import INF, Graph, MetricProfile, bits, mask_of, metric_profile
+from .graphs import INF, Graph, MetricProfile, bfs_layers, bits, mask_of, metric_profile
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 
@@ -112,6 +112,21 @@ def covering_from_json(host: Graph, data: dict) -> Covering | RefinedCovering:
 
 def singleton_covering(host: Graph) -> Covering:
     return Covering(host, tuple(frozenset((v,)) for v in range(host.n)))
+
+
+def trivial_refinement(base: Covering) -> RefinedCovering:
+    """Block 0 of ``base`` split as Q0 = the whole block, Q1 = {}."""
+    return RefinedCovering(base, 0, base.blocks[0], frozenset())
+
+
+def singleton_witness(p: Graph, key: str) -> Covering | RefinedCovering:
+    """The kappa = n witness for profile key ``key``: the singleton
+    covering, trivially refined for the refined key.  Singletons satisfy
+    every condition set when the radius is >= 2 (A''/B'' through the
+    trivial split), and nothing smaller than kappa satisfies a set
+    containing A."""
+    base = singleton_covering(p)
+    return trivial_refinement(base) if key == "AA''B''" else base
 
 
 @dataclass(frozen=True)
@@ -749,20 +764,19 @@ def construct_AB_bipartition(p: Graph) -> Covering:
     x, y = pair
     p1 = p.closed_masks[x]
     p2 = p.closed_masks[y]
+    far3 = p.far_masks(3)
     for z in range(n):
         assigned = p1 | p2
         if assigned >> z & 1:
             continue
-        row = dist[z]
-        if any(row[q] >= 3 for q in bits(p2)):
+        if far3[z] & p2:
             p1 |= 1 << z
-        elif any(row[q] >= 3 for q in bits(p1)):
+        elif far3[z] & p1:
             p2 |= 1 << z
         else:
-            far = next(q for q in range(n)
-                       if not (assigned >> q & 1) and q != z and row[q] >= 3)
+            far = far3[z] & ~assigned
             p1 |= 1 << z
-            p2 |= 1 << far
+            p2 |= far & -far
     cov = Covering(p, (frozenset(bits(p1)), frozenset(bits(p2))))
     if not (check_A(cov).passed and check_B(cov).passed):
         raise InternalCheckError("recursive bipartition failed its A/B re-check")
@@ -784,14 +798,9 @@ PROFILE_CONDS = {
 
 
 def _component_split(p: Graph) -> Covering:
-    comp = mask_of(v for v in range(p.n) if p.dist[0][v] is not INF)
+    comp = bfs_layers(p.adj_masks, 1)[1]
     return Covering(p, (frozenset(bits(comp)),
                         frozenset(bits(p.full_mask & ~comp))))
-
-
-def _refined_component_split(p: Graph) -> RefinedCovering:
-    base = _component_split(p)
-    return RefinedCovering(base, 0, base.blocks[0], frozenset())
 
 
 def _far_split(p: Graph) -> Covering:
@@ -844,7 +853,8 @@ TWO_BLOCK_FACTS = {
     ),
     "AA''B''": (
         TwoBlockFact(_disconnected,
-                     _refined_component_split, "shortcut-disconnected", "disconnected"),
+                     lambda p: trivial_refinement(_component_split(p)),
+                     "shortcut-disconnected", "disconnected"),
         TwoBlockFact(lambda p, prof: prof.radius == 2 or prof.diameter <= 3,
                      None, "shortcut-r2-or-diam<=3", "r=2 or diam<=3"),
         TwoBlockFact(lambda p, prof: (prof.diameter == 4
@@ -889,13 +899,7 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
         conds = PROFILE_CONDS[key]
         lo = max(lo, kappa)
         if kappa == n:
-            # singleton blocks satisfy every condition set when the radius
-            # is >= 2 (for A''/B'' via the trivial split Q0 = block, Q1 = {}),
-            # and nothing smaller than kappa can satisfy a set containing A
-            base = singleton_covering(p)
-            wit: Covering | RefinedCovering = base
-            if key == "AA''B''":
-                wit = RefinedCovering(base, 0, base.blocks[0], frozenset())
+            wit = singleton_witness(p, key)
             if covering_passes(wit, conds):
                 return CovSizeResult(key, n, wit, "shortcut-singletons")
         ks = sorted({k for k in (2, 3) if k >= lo} | ({kappa} if kappa > 3 else set()))

@@ -123,42 +123,46 @@ def refined_cover_of(fx: Fixture) -> RefinedCovering:
 # --------------------------------------------------------------------------
 # named-graph tokens (command-line shorthand) and the fixture registry
 
+#: Most vertices a named-graph token may ask for; checked before anything
+#: is built, so an oversized token such as ``k100000`` fails at once.
+MAX_TOKEN_VERTICES = 1000
+
+
+def _copies(copies: int, size: int) -> Graph:
+    part = Graph.complete(size) if size > 1 else Graph.empty(1, labels=["0"])
+    return Graph.disjoint_union([part] * copies)
+
+
+#: Token forms: (pattern, vertex count, builder), over the integer groups.
+_TOKEN_FORMS = (
+    (r"k(\d+)", lambda a: a, Graph.complete),
+    (r"p(\d+)", lambda a: a, Graph.path),
+    (r"c(\d+)", lambda a: a, Graph.cycle),
+    (r"(?:star|k1_)(\d+)", lambda a: a + 1, Graph.star),
+    (r"(\d+)k(\d+)", lambda a, b: a * b, _copies),
+    (r"prism(\d+)", lambda a: 2 * a, lambda a: gen_prism(a).graph),
+    (r"palpha(\d+)", lambda a: 2 * a, lambda a: gen_P_alpha(a).graph),
+    (r"palphabeta(\d+)_(\d+)", lambda a, b: 2 * a + b,
+     lambda a, b: gen_P_alpha_beta(a, b).graph),
+)
+
+
 def named_graph(token: str) -> Graph:
     """Resolve a shorthand token: k5, p4, c6, star3, 2k2, prism7,
-    palpha3, palphabeta3_2, periphery_gap, prism7_cover."""
+    palpha3, palphabeta3_2, periphery_gap, prism7_cover.  A token asking
+    for more than ``MAX_TOKEN_VERTICES`` vertices raises ``DomainError``."""
     t = token.strip().lower()
     for fx in _REGISTRY:
         if fx().name == t:
             return fx().graph
-    m = re.fullmatch(r"k(\d+)", t)
-    if m:
-        return Graph.complete(int(m.group(1)))
-    m = re.fullmatch(r"p(\d+)", t)
-    if m:
-        return Graph.path(int(m.group(1)))
-    m = re.fullmatch(r"c(\d+)", t)
-    if m:
-        return Graph.cycle(int(m.group(1)))
-    m = re.fullmatch(r"star(\d+)", t)
-    if m:
-        return Graph.star(int(m.group(1)))
-    m = re.fullmatch(r"k1_(\d+)", t)
-    if m:
-        return Graph.star(int(m.group(1)))
-    m = re.fullmatch(r"(\d+)k(\d+)", t)
-    if m:
-        copies, size = int(m.group(1)), int(m.group(2))
-        part = Graph.complete(size) if size > 1 else Graph.empty(1, labels=["0"])
-        return Graph.disjoint_union([part] * copies)
-    m = re.fullmatch(r"prism(\d+)", t)
-    if m:
-        return gen_prism(int(m.group(1))).graph
-    m = re.fullmatch(r"palpha(\d+)", t)
-    if m:
-        return gen_P_alpha(int(m.group(1))).graph
-    m = re.fullmatch(r"palphabeta(\d+)_(\d+)", t)
-    if m:
-        return gen_P_alpha_beta(int(m.group(1)), int(m.group(2))).graph
+    for pattern, size, build in _TOKEN_FORMS:
+        m = re.fullmatch(pattern, t)
+        if m:
+            args = [int(x) for x in m.groups()]
+            if size(*args) > MAX_TOKEN_VERTICES:
+                raise DomainError(f"graph token {token!r} has {size(*args)} vertices,"
+                                  f" more than {MAX_TOKEN_VERTICES}")
+            return build(*args)
     raise DomainError(f"unknown graph token: {token!r}")
 
 

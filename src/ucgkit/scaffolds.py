@@ -27,7 +27,7 @@ from typing import Iterable
 from .analysis import ucg_analysis
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError, InvalidDropError
-from .graphs import Dist, Graph
+from .graphs import Dist, Graph, bits
 
 CENTER = "center"
 PERIPHERY = "periphery"
@@ -208,9 +208,7 @@ def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:
 
 
 def _induced_equals(g: Graph, vertices: tuple[int, ...], target: Graph) -> bool:
-    if len(vertices) != target.n:
-        return False
     pos = {v: i for i, v in enumerate(vertices)}
-    got = {(pos[u], pos[v]) for u in vertices for v in g.adj[u]
-           if v in pos and pos[u] < pos[v]}
-    return got == set(target.edges)
+    return len(vertices) == target.n and all(
+        sum(1 << pos[u] for u in bits(g.adj_masks[v]) if u in pos) == want
+        for v, want in zip(vertices, target.adj_masks))

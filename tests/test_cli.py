@@ -190,6 +190,10 @@ class TestMainEntry:
         assert main(["analyze", "--periphery", "no_such_thing_42"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_token_is_usage_error(self, capsys):
+        assert main(["analyze", "--periphery", "p1001"]) == 2
+        assert "more than 1000" in capsys.readouterr().err
+
     def test_bad_subcommand_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

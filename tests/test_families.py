@@ -145,3 +145,19 @@ class TestRegistry:
         assert named_graph("periphery_gap").n == 13
         with pytest.raises(DomainError):
             named_graph("mystery9")
+
+    @pytest.mark.parametrize("token", ["p1001", "c1001", "1001k1", "2k501",
+                                       "star1000", "prism501"])
+    def test_oversized_token_rejected_before_building(self, token, monkeypatch):
+        assert U.families.MAX_TOKEN_VERTICES == 1000
+        init = Graph.__init__
+
+        def guarded(g, n, *args, **kwargs):
+            assert n <= 1000, f"built a graph on {n} vertices"
+            init(g, n, *args, **kwargs)
+        monkeypatch.setattr(Graph, "__init__", guarded)
+        with pytest.raises(DomainError, match="more than 1000"):
+            named_graph(token)
+
+    def test_token_at_the_cap_builds(self):
+        assert named_graph("p1000").n == 1000 and named_graph("500k2").n == 1000

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ucgkit import (INF, Graph, distance_matrix, induced_subgraph,
-                    metric_profile, set_distance, set_set_distance)
+from ucgkit import (INF, Graph, distance_matrix, eccentric_set,
+                    induced_subgraph, metric_profile, set_distance,
+                    set_set_distance, ucg_analysis)
+from ucgkit.graphs import bfs_layers
 
 
 def random_graph_strategy(max_n=8):
@@ -82,6 +84,84 @@ class TestDistances:
         for u in range(g.n):
             for v in range(g.n):
                 assert d[u][v] == ref[u, v]
+
+
+def sparse_graph_strategy(max_n=10):
+    """Graphs from a small random edge set: often disconnected."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, max_n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        return Graph(n, sorted(edges))
+    return build()
+
+
+kernel_graphs = st.one_of(random_graph_strategy(max_n=10), sparse_graph_strategy())
+
+
+def _mask(vs):
+    return sum(1 << v for v in vs)
+
+
+class TestLayerKernelAgainstFloyd:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_graphs)
+    def test_per_vertex_quantities(self, g):
+        d = oracles.floyd_distances(g)
+        ecc = oracles.eccentricities(g)
+        vs = range(g.n)
+        for v in vs:
+            for u in vs:
+                if d[v, u] == math.inf:
+                    assert g.dist[v][u] is INF
+                else:
+                    assert g.dist[v][u] == d[v, u] and type(g.dist[v][u]) is int
+            assert g.ecc[v] == ecc[v]
+            assert (g.ecc[v] is INF) == (ecc[v] == math.inf)
+            assert eccentric_set(g, v) == {u for u in vs if d[v, u] == ecc[v]}
+            for t in range(-1, g.n + 1):
+                assert g.ball_masks(t)[v] == _mask(u for u in vs if d[v, u] <= t)
+                assert g.far_masks(t)[v] == _mask(u for u in vs if d[v, u] >= t)
+        assert g.is_connected == all(e != math.inf for e in ecc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_graphs, st.data())
+    def test_multi_source_layers(self, g, data):
+        sources = data.draw(st.integers(0, g.full_mask), label="sources")
+        d = oracles.floyd_distances(g)
+        to_set = [oracles.dset(d, [s for s in range(g.n) if sources >> s & 1], v)
+                  for v in range(g.n)]
+        deepest = max((x for x in to_set if x != math.inf), default=0)
+        layers, reached = bfs_layers(g.adj_masks, sources)
+        assert len(layers) == deepest + 1
+        for k, layer in enumerate(layers):
+            assert layer == _mask(v for v in range(g.n) if to_set[v] == k)
+        assert reached == _mask(v for v in range(g.n) if to_set[v] != math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_graphs)
+    def test_ucg_analysis_fields(self, g):
+        d = oracles.floyd_distances(g)
+        ecc = oracles.eccentricities(g)
+        vs = range(g.n)
+        r = min(ecc)
+        center = [v for v in vs if ecc[v] == r]
+        ec = {z: {u for u in vs if d[z, u] == ecc[z]} for z in center}
+        cp = set().union(*ec.values())
+        a = ucg_analysis(g)
+        assert a.center == set(center)
+        assert list(a.ec_map) == center and a.ec_map == ec
+        assert a.centered_periphery == cp
+        assert a.intermediate == set(vs) - set(center) - cp
+        assert (a.radius, a.diameter) == (r, max(ecc))
+        if r == math.inf:
+            assert a.strata == (frozenset(vs),) and not a.is_ucg
+        else:
+            to_center = [oracles.dset(d, center, v) for v in vs]
+            assert a.strata == tuple({v for v in vs if to_center[v] == m}
+                                     for m in range(int(r) + 1))
+            assert a.is_ucg == all(ec[z] == cp for z in center)
 
 
 class TestMetricProfile:
