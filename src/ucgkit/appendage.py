@@ -44,7 +44,9 @@ from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
 #: How many decision witnesses the engine will try to turn into a verified
 #: construction before giving up; overlapping-block witnesses can fail the
 #: graph check even though they meet the covering conditions, so the engine
-#: walks the witness stream until one construction verifies.
+#: walks the witness stream until one construction verifies.  The stream
+#: holds orbit leaders only (one covering per block permutation class), so
+#: the cap counts leaders.
 WITNESS_RETRY_CAP = 5000
 
 #: Free-edge-count ceiling for the brute-force oracle.
@@ -129,9 +131,10 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
     """Find a size-kappa covering meeting the conditions of profile key
     ``key`` whose construction verifies.  At kappa = 2 the key's size-2
     facts come first: one may rule the covering out, or hand over a
-    theory-backed witness to try.  If that disappoints, the full witness
+    theory-backed witness to try.  If that disappoints, the witness
     stream is walked in order, so a "no-build" answer means every
-    condition-passing covering was tried."""
+    condition-passing covering was tried, up to a permutation of its
+    blocks, which gives an isomorphic scaffold."""
     conds = PROFILE_CONDS[key]
     refine = key == "AA''B''"
     fact = two_block_fact(p, prof, key) if kappa == 2 else None
@@ -148,7 +151,8 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
         if s is not None:
             return _Route("built", wit, s, "singletons")
     try:
-        gen = iter_covering_witnesses(p, kappa, conds, refine=refine, bound=bound)
+        gen = iter_covering_witnesses(p, kappa, conds, refine=refine, bound=bound,
+                                      orbit_leaders=True)
         first = next(gen, None)
     except BoundExceededError:
         return _Route("bound", reason=f"bound exceeded at k={kappa}")

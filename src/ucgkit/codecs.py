@@ -12,6 +12,17 @@ from __future__ import annotations
 from .errors import MalformedInputError
 from .graphs import Graph
 
+#: Most vertices any graph input may ask for: a graph6 or edge-list
+#: header, or a named-graph token.  Checked as soon as the vertex count
+#: is read, before anything is built.
+MAX_INPUT_VERTICES = 1000
+
+
+def _check_order(n: int, what: str) -> None:
+    if n > MAX_INPUT_VERTICES:
+        raise MalformedInputError(
+            f"{what} asks for {n} vertices, more than {MAX_INPUT_VERTICES}")
+
 
 def encode_graph6(g: Graph, header: bool = False) -> str:
     chunks: list[str] = [">>graph6<<"] if header else []
@@ -40,6 +51,7 @@ def decode_graph6(text: str) -> Graph:
     if any(d < 0 or d > 63 for d in data):
         raise MalformedInputError("graph6 characters must be in range 63..126")
     n, data = _decode_n(data)
+    _check_order(n, "graph6 input")
     if n < 1:
         raise MalformedInputError("graph6 graph must have at least one vertex")
     need = (n * (n - 1) // 2 + 5) // 6
@@ -93,6 +105,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise MalformedInputError("edge-list header must contain integers") from exc
+    _check_order(n, "edge-list input")
     if len(lines) - 1 != m:
         raise MalformedInputError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

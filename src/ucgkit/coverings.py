@@ -17,7 +17,8 @@ several condition sets:
   found is the lexicographically first one.  The search checks each
   clause on the partial assignment wherever its violation is monotone
   (no later vertex can repair it), so a pruned subtree holds no witness
-  and the order is kept.
+  and the order is kept; deciding, it skips every covering that is not
+  the least of its block permutations.
 * Diameter and radius facts settle many size-2 cases outright; they form
   one table, ``TWO_BLOCK_FACTS``, read by ``cov_profile`` and by the
   appendage engine.
@@ -458,10 +459,16 @@ def conds_tag(conds: Iterable[str]) -> str:
 
 
 def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
-                            refine: bool = False, bound: int | None = None):
+                            refine: bool = False, bound: int | None = None, *,
+                            orbit_leaders: bool = False):
     """Lazily yield every size-k covering of ``p`` meeting ``conds``, in
     lexicographic order of the per-vertex block-membership patterns (and,
-    under ``refine``, of the (Q_0, Q_1) split patterns of block 0)."""
+    under ``refine``, of the (Q_0, Q_1) split patterns of block 0).
+
+    With ``orbit_leaders`` only the lexicographically least covering of
+    each block-permutation orbit is yielded (permuting blocks 1..k-1
+    under ``refine``, whose block 0 carries the split); the order is
+    kept.  See ``decide_cover_k``."""
     conds = frozenset(conds)
     unknown = conds - set(CONDITIONS)
     if unknown:
@@ -478,7 +485,7 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
         raise BoundExceededError(
             f"decide_cover_k: n={p.n} exceeds bound {bound} for k={k}")
 
-    for bm, split in _decide_dfs(p, k, conds, refine):
+    for bm, split in _decide_dfs(p, k, conds, refine, orbit_leaders):
         cov = Covering(p, tuple(frozenset(bits(m)) for m in bm))
         witness: Covering | RefinedCovering = cov
         if refine:
@@ -533,17 +540,33 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
     * B''-2b: a vertex p of Q_l failing B''-2a, with every vertex of P_0
       at distance >= 4 from p already in Q_l, or N[p] already meeting
       the other side.
+
+    The conditions treat blocks alike (under ``refine``, every block but
+    the split block 0), so each covering comes with all its block
+    permutations.  Only the orbit leader, the lexicographically least
+    permutation, is searched: when blocks i and i + 1 are equal over the
+    vertices placed so far, v may not join block i + 1 without block i
+    (i >= 0 unrefined, i >= 1 under ``refine``).  That holds exactly when
+    the blocks, read as membership vectors from vertex 0 on, never
+    increase with the index, which is the least order; blocks equal so
+    far form contiguous runs, so adjacent pairs suffice.  The answer is
+    unchanged: the first witness of the full stream is least in its
+    orbit, so it is a leader.  The appendage engine also walks leaders
+    only, since scaffolds built from permuted blocks are isomorphic with
+    C and P fixed: the first covering whose construction verifies is
+    still a leader, and a walked-out stream still means none verifies.
     """
     conds = frozenset(conds)
     witness = next(iter_covering_witnesses(p, k, conds, refine=refine,
-                                           bound=bound), None)
+                                           bound=bound, orbit_leaders=True), None)
     tag = conds_tag(conds)
     if witness is None:
         return CovSizeResult(tag, INFEASIBLE, None, "exhausted")
     return CovSizeResult(tag, k, witness, "decide-k")
 
 
-def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool):
+def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
+                leaders: bool):
     n = host.n
     full, closed, ball2, far3, _ = _geometry(host)
     need_a = bool(conds & {"A", "A'"})
@@ -555,6 +578,11 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool):
     supersets = [mask_of(pat for pat in range(1 << k) if pat & r == r)
                  for r in range(1 << k)]
     nonempty = (1 << (1 << k)) - 2
+    # orbit leaders: while blocks i and i + 1 (both past the split block
+    # under refine) are equal, v may not join block i + 1 without block i
+    sym = range(1 if refine else 0, k - 1) if leaders else ()
+    swapped = [mask_of(pat for pat in range(1 << k) if pat >> i & 3 == 2)
+               for i in range(k - 1)]
 
     def missing(bl: tuple[int, ...], m: int) -> int:
         out = 0
@@ -619,6 +647,9 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool):
         dead = 0
         for r in cuts(v, bl, nb1, nb2):
             dead |= supersets[r]
+        for i in sym:
+            if bl[i] == bl[i + 1]:
+                dead |= swapped[i]
         for pat in bits(nonempty & ~dead):
             cb, c1, c2 = list(bl), list(nb1), list(nb2)
             for i in members[pat]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .codecs import encode_graph6
+from .codecs import MAX_INPUT_VERTICES, encode_graph6
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError
 from .graphs import Graph
@@ -123,9 +123,9 @@ def refined_cover_of(fx: Fixture) -> RefinedCovering:
 # --------------------------------------------------------------------------
 # named-graph tokens (command-line shorthand) and the fixture registry
 
-#: Most vertices a named-graph token may ask for; checked before anything
-#: is built, so an oversized token such as ``k100000`` fails at once.
-MAX_TOKEN_VERTICES = 1000
+#: Most vertices a named-graph token may ask for, the shared input cap;
+#: checked before anything is built, so ``k100000`` fails at once.
+MAX_TOKEN_VERTICES = MAX_INPUT_VERTICES
 
 
 def _copies(copies: int, size: int) -> Graph:
@@ -152,9 +152,8 @@ def named_graph(token: str) -> Graph:
     palpha3, palphabeta3_2, periphery_gap, prism7_cover.  A token asking
     for more than ``MAX_TOKEN_VERTICES`` vertices raises ``DomainError``."""
     t = token.strip().lower()
-    for fx in _REGISTRY:
-        if fx().name == t:
-            return fx().graph
+    if t in _REGISTRY:
+        return _REGISTRY[t]().graph
     for pattern, size, build in _TOKEN_FORMS:
         m = re.fullmatch(pattern, t)
         if m:
@@ -176,30 +175,31 @@ def _two_k1() -> Fixture:
                    "generator: two isolated vertices")
 
 
-_REGISTRY = (
-    _two_k1,
-    _two_k2,
-    lambda: Fixture("k1_3", Graph.star(3), "generator: star with 3 leaves"),
-    lambda: Fixture("p4", Graph.path(4), "generator: path(4)"),
-    lambda: Fixture("p7", Graph.path(7), "generator: path(7)"),
-    lambda: Fixture("c4", Graph.cycle(4), "generator: cycle(4)"),
-    lambda: Fixture("c6", Graph.cycle(6), "generator: cycle(6)"),
-    lambda: Fixture("c7", Graph.cycle(7), "generator: cycle(7)"),
-    lambda: gen_prism(3),
-    lambda: gen_prism(6),
-    lambda: gen_prism(7),
-    lambda: gen_P_alpha(2),
-    lambda: gen_P_alpha(3),
-    lambda: gen_P_alpha(4),
-    lambda: gen_P_alpha_beta(2, 1),
-    lambda: gen_P_alpha_beta(3, 2),
-    periphery_gap_example,
-    prism7_refined_cover,
-)
+#: Fixture builders by fixture name, in manifest order.
+_REGISTRY = {
+    "2k1": _two_k1,
+    "2k2": _two_k2,
+    "k1_3": lambda: Fixture("k1_3", Graph.star(3), "generator: star with 3 leaves"),
+    "p4": lambda: Fixture("p4", Graph.path(4), "generator: path(4)"),
+    "p7": lambda: Fixture("p7", Graph.path(7), "generator: path(7)"),
+    "c4": lambda: Fixture("c4", Graph.cycle(4), "generator: cycle(4)"),
+    "c6": lambda: Fixture("c6", Graph.cycle(6), "generator: cycle(6)"),
+    "c7": lambda: Fixture("c7", Graph.cycle(7), "generator: cycle(7)"),
+    "prism3": lambda: gen_prism(3),
+    "prism6": lambda: gen_prism(6),
+    "prism7": lambda: gen_prism(7),
+    "palpha2": lambda: gen_P_alpha(2),
+    "palpha3": lambda: gen_P_alpha(3),
+    "palpha4": lambda: gen_P_alpha(4),
+    "palphabeta2_1": lambda: gen_P_alpha_beta(2, 1),
+    "palphabeta3_2": lambda: gen_P_alpha_beta(3, 2),
+    "periphery_gap": periphery_gap_example,
+    "prism7_cover": prism7_refined_cover,
+}
 
 
 def all_fixtures() -> tuple[Fixture, ...]:
-    return tuple(fx() for fx in _REGISTRY)
+    return tuple(build() for build in _REGISTRY.values())
 
 
 def fixture_manifest() -> dict:

@@ -194,6 +194,13 @@ class TestMainEntry:
         assert main(["analyze", "--periphery", "p1001"]) == 2
         assert "more than 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1001 0\n", "~?Nh"])
+    def test_oversized_file_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert main(["analyze", "--periphery", str(path)]) == 2
+        assert "more than 1000" in capsys.readouterr().err
+
     def test_bad_subcommand_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

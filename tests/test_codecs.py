@@ -2,6 +2,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ucgkit as U
 from ucgkit import (Graph, MalformedInputError, decode_graph6, encode_graph6,
                     fixture_manifest, format_edge_list, load_graph_text,
                     parse_edge_list, to_dot)
@@ -78,6 +79,73 @@ class TestEdgeList:
     def test_malformed_edge_lists_rejected(self, bad):
         with pytest.raises(MalformedInputError):
             parse_edge_list(bad)
+
+
+def _graph6_header(n):
+    """The graph6 size prefix of an n-vertex graph, long form when n > 62."""
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+
+
+class TestInputCap:
+    @pytest.fixture
+    def no_big_graph(self, monkeypatch):
+        init = Graph.__init__
+
+        def guarded(g, n, *args, **kwargs):
+            assert n <= 1000, f"built a graph on {n} vertices"
+            init(g, n, *args, **kwargs)
+        monkeypatch.setattr(Graph, "__init__", guarded)
+
+    def test_cap_is_the_token_cap(self):
+        assert U.codecs.MAX_INPUT_VERTICES == U.families.MAX_TOKEN_VERTICES == 1000
+
+    @pytest.mark.parametrize("text", ["1001 0\n", "1001 1\n0 1\n",
+                                      "1000000000 0\n", "1001 5\n0 1\n"])
+    def test_edge_list_over_cap_rejected(self, text, no_big_graph):
+        with pytest.raises(MalformedInputError, match="more than 1000"):
+            parse_edge_list(text)
+        with pytest.raises(MalformedInputError, match="more than 1000"):
+            load_graph_text(text)
+
+    @pytest.mark.parametrize("n", [1001, 258047])
+    def test_graph6_over_cap_rejected_before_body_check(self, n, no_big_graph):
+        # the header alone: the cap fires before the body length is checked
+        with pytest.raises(MalformedInputError, match="more than 1000"):
+            decode_graph6(_graph6_header(n))
+        body = "?" * ((n * (n - 1) // 2 + 5) // 6) if n == 1001 else ""
+        with pytest.raises(MalformedInputError, match="more than 1000"):
+            load_graph_text(_graph6_header(n) + body)
+
+    def test_at_cap_loads(self):
+        assert parse_edge_list("1000 1\n998 999\n").n == 1000
+        g = Graph.path(1000)
+        back = decode_graph6(encode_graph6(g))
+        assert back.n == 1000 and back.edges == g.edges
+
+
+_G6_CHARS = "".join(chr(c) for c in range(63, 127))
+
+
+@st.composite
+def _edge_list_text(draw):
+    ints = st.one_of(st.integers(-3, 12), st.integers(-10**12, 10**12))
+    token = st.one_of(ints.map(str), st.sampled_from(["x", "#", "1_0", "", "٣"]))
+    lines = draw(st.lists(st.lists(token, max_size=3).map(" ".join), max_size=8))
+    return "\n".join(lines)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=400, deadline=1000)
+    @given(st.one_of(st.text(max_size=40), st.text(_G6_CHARS, max_size=40),
+                     _edge_list_text()))
+    def test_graph_or_malformed_input_error(self, text):
+        try:
+            g = load_graph_text(text)
+        except MalformedInputError:
+            return
+        assert isinstance(g, Graph) and 1 <= g.n <= 1000
 
 
 class TestSniffing:

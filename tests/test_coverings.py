@@ -13,6 +13,7 @@ from ucgkit import (INFEASIBLE, BoundExceededError, Covering, Graph,
                     decide_cover_k, gen_P_alpha, gen_prism,
                     iter_covering_witnesses, singleton_covering,
                     two_ball_triple_check)
+from ucgkit.coverings import PROFILE_CONDS
 
 
 def cover(g, *blocks):
@@ -380,6 +381,76 @@ class TestPrunedSearch:
             [[0, 1, 2, 3, 4, 7, 8, 9, 10], [5, 6, 11, 12, 13]]
         assert sorted(w.q0) == [0, 1, 2, 7, 8]
         assert sorted(w.q1) == [3, 4, 9, 10]
+
+
+def _is_orbit_leader(n, blocks, fixed):
+    """Is the per-vertex membership pattern vector of ``blocks`` the
+    lexicographically least over every order of blocks ``fixed``..k-1?"""
+    def patterns(bs):
+        return [sum(1 << i for i, b in enumerate(bs) if v in b) for v in range(n)]
+    own = patterns(blocks)
+    return all(patterns(blocks[:fixed] + tuple(blocks[j] for j in perm)) >= own
+               for perm in itertools.permutations(range(fixed, len(blocks))))
+
+
+_ORBIT_CONDS = _PLAIN_CONDS + [("A", "A''", "B''")]
+
+
+class TestOrbitLeaders:
+    # the full stream costs ~50 us per covering (about 10^5 of them at
+    # k = 4, n = 4), so larger k runs on smaller graphs, with A'B' (the
+    # engine's first route) one size up
+    @pytest.mark.parametrize("k, max_n, cond_sets", [
+        (2, 5, _ORBIT_CONDS), (3, 4, _ORBIT_CONDS), (4, 3, _ORBIT_CONDS),
+        (3, 5, [("A'", "B'")]), (4, 4, [("A'", "B'")])])
+    def test_leader_stream_is_filtered_full_stream(self, k, max_n, cond_sets):
+        for g in U.atlas_graphs(max_n=max_n):
+            if min(g.ecc) < 2:
+                continue
+            for conds in cond_sets:
+                refine = "A''" in conds
+                fixed = 1 if refine else 0
+
+                def blocks(w):
+                    return w.base.blocks if refine else w.blocks
+                full = iter_covering_witnesses(g, k, conds, refine=refine)
+                expect = [w for w in full if _is_orbit_leader(g.n, blocks(w), fixed)]
+                leaders = iter_covering_witnesses(g, k, conds, refine=refine,
+                                                  orbit_leaders=True)
+                assert list(leaders) == expect, (g.edges, k, conds)
+
+    def test_decide_matches_first_full_witness(self):
+        for g in U.atlas_graphs(max_n=6):
+            if min(g.ecc) < 2:
+                continue
+            for k in range(2, 6):
+                for key, conds in PROFILE_CONDS.items():
+                    refine = key == "AA''B''"
+                    dec = decide_cover_k(g, k, conds, refine=refine)
+                    first = next(iter_covering_witnesses(g, k, conds, refine=refine),
+                                 None)
+                    assert dec.witness == first, (g.edges, k, key)
+                    assert dec.found == (first is not None)
+
+    def test_orbit_leaders_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            iter_covering_witnesses(Graph.cycle(5), 2, ("A",), False, None, True)
+
+    def test_prism5_three_block_AprimeBprime_infeasible(self):
+        g = gen_prism(5).graph
+        dec = decide_cover_k(g, 3, ("A'", "B'"))
+        assert dec.value is INFEASIBLE and dec.method == "exhausted"
+        assert next(iter_covering_witnesses(g, 3, ("A'", "B'")), None) is None
+
+    def test_atlas_1035_refined_route(self, atlas_r2):
+        # radius 2 on 7 vertices, kappa = 5: both A'B' and A' exhaust at
+        # k = 5 and the refined route builds on its first orbit leader
+        res = U.appendage_number(Graph.path(3), atlas_r2[1035])
+        assert res.value == 11
+        assert res.case == "general center: cov_AA''B''=kappa (decide@k=5)"
+        assert res.certificates["witness_covering"] == {
+            "blocks": [[5], [0, 1], [2, 3], [4], [6]], "iota": 0,
+            "q0": [5], "q1": []}
 
 
 class TestTwoBall:

@@ -161,3 +161,35 @@ class TestRegistry:
 
     def test_token_at_the_cap_builds(self):
         assert named_graph("p1000").n == 1000 and named_graph("500k2").n == 1000
+
+
+class TestRegistryLookup:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(name, build):
+            def wrapper():
+                seen.append(name)
+                return build()
+            return wrapper
+        monkeypatch.setattr(U.families, "_REGISTRY",
+                            {name: counted(name, build)
+                             for name, build in U.families._REGISTRY.items()})
+        return seen
+
+    def test_token_form_builds_no_fixture(self, calls):
+        assert named_graph("k2").n == 2
+        assert named_graph("prism5").n == 10
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["2k1", "prism7", "prism7_cover"])
+    def test_fixture_name_builds_its_fixture_once(self, name, calls):
+        g = named_graph(name)
+        assert calls == [name]
+        assert g == next(fx.graph for fx in U.families.all_fixtures()
+                         if fx.name == name)
+
+    def test_registry_keys_are_fixture_names(self):
+        assert [fx.name for fx in U.families.all_fixtures()] == \
+            list(U.families._REGISTRY)
