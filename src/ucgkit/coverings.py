@@ -31,8 +31,8 @@ demand a witness *inside* a set are false for the empty set.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
 from .graphs import INF, Graph, MetricProfile, bfs_layers, bits, mask_of, metric_profile
@@ -153,11 +153,18 @@ INFEASIBLE = _Infeasible()
 
 @dataclass(frozen=True)
 class Unknown:
-    """Value not settled within enumeration bounds; carries what is known."""
+    """Value not settled within enumeration bounds; carries what is known.
+
+    ``stop`` says what ended the search: ``"vertex-bound"`` when n was
+    over the decision bound, ``"ladder"`` when every block count tried
+    was exhausted below the bound.  It takes no part in equality or the
+    repr, which predate it.
+    """
 
     lo: int
     hi: int | None
     bound: int
+    stop: Literal["ladder", "vertex-bound"] = field(default="ladder", compare=False)
 
     def __repr__(self):
         return f"UNKNOWN(lo={self.lo}, hi={self.hi}, bound={self.bound})"
@@ -181,7 +188,7 @@ class CovSizeResult:
             val: object = self.value
         elif isinstance(self.value, Unknown):
             val = {"unknown": True, "lo": self.value.lo, "hi": self.value.hi,
-                   "bound": self.value.bound}
+                   "bound": self.value.bound, "stop": self.value.stop}
         else:
             val = "infeasible"
         return {
@@ -541,6 +548,22 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
       at distance >= 4 from p already in Q_l, or N[p] already meeting
       the other side.
 
+    B''-2 also cuts the block search, through every split at once.  Each
+    p of P_0 lies in some side Q_l; when N[p] meets every sibling
+    (B''-2a fails), B''-2b needs a vertex of P_0 \\ Q_l at distance >= 4
+    from p, so far4[p] & P_0 must be nonempty.  Both halves are
+    permanent: siblings only grow, and far4[p] & P_0 stays empty once all
+    of far4[p] is placed outside P_0.  The violation appears when its
+    last ingredient does, so placing v cuts:
+
+    * (a) v joining block 0 when all of far4[v] lies before v and outside
+      P_0: the patterns holding block 0 and every sibling N[v] misses;
+    * (b) a p of P_0 whose far4[p] ends at v, none of it in P_0, with
+      N[p] already meeting every sibling (v is not in N[p]): the patterns
+      without block 0;
+    * (c) a p of P_0 with all of far4[p] before v and outside P_0, and v
+      in N[p]: the patterns holding every sibling N[p] misses.
+
     The conditions treat blocks alike (under ``refine``, every block but
     the split block 0), so each covering comes with all its block
     permutations.  Only the orbit leader, the lexicographically least
@@ -568,16 +591,30 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
 def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
                 leaders: bool):
     n = host.n
-    full, closed, ball2, far3, _ = _geometry(host)
+    geo = _geometry(host)
+    full, closed, ball2, far3, far4 = geo
     need_a = bool(conds & {"A", "A'"})
     need_ap = "A'" in conds
     need_bp = "B'" in conds
     need_b = "B" in conds and not need_bp
+    # B''-2 through every split, rules (a)-(c) of decide_cover_k: last4[v]
+    # holds the p whose far4[p] ends at v, settled4[v] those whose far4[p]
+    # lies before v
+    need_2 = refine and "B''" in conds
+    last4, settled4 = [0] * n, [0] * n
+    for p in range(n):
+        if far4[p]:
+            last4[far4[p].bit_length() - 1] |= 1 << p
+    later = 0
+    for v in reversed(range(n)):
+        later |= last4[v]
+        settled4[v] = full & ~later
     members = [tuple(i for i in range(k) if pat >> i & 1) for pat in range(1 << k)]
     # supersets[r]: the patterns holding every block of r, as a bit set
     supersets = [mask_of(pat for pat in range(1 << k) if pat & r == r)
                  for r in range(1 << k)]
     nonempty = (1 << (1 << k)) - 2
+    no_block0 = mask_of(pat for pat in range(1 << k) if not pat & 1)
     # orbit leaders: while blocks i and i + 1 (both past the split block
     # under refine) are equal, v may not join block i + 1 without block i
     sym = range(1 if refine else 0, k - 1) if leaders else ()
@@ -592,12 +629,14 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
         return out
 
     def cuts(v: int, bl: tuple[int, ...], nb1: tuple[int, ...],
-             nb2: tuple[int, ...]) -> list[int]:
-        # block sets R such that placing v in every block of R (and maybe
-        # others) violates a clause for good; the state before v violates
-        # none, so a clause v cannot touch needs no rule
+             nb2: tuple[int, ...]) -> int:
+        # the patterns v may not take, mostly as block sets R in ``out``
+        # such that placing v in every block of R (and maybe others)
+        # violates a clause for good; the state before v violates none,
+        # so a clause v cannot touch needs no rule
         vb, cv, bv = 1 << v, closed[v], ball2[v]
         out = []
+        dead = 0
         if need_a:      # N[P_i] becomes V
             out += [1 << i for i in range(k) if nb1[i] | cv == full]
         if need_ap:     # the 2-ball of P_i is V and N[P_i] meets every block
@@ -623,7 +662,19 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
                 elif not m:
                     out += [1 << i for i in range(k)
                             if bl[i] >> u & 1 and fu & ~bl[i] == vb]
-        return out
+        if need_2:      # B''-2 through every split
+            p0 = bl[0]
+            if settled4[v] >> v & 1 and not far4[v] & p0:              # (a)
+                out.append(missing(bl, cv) | 1)
+            for p in bits(p0 & last4[v]):                               # (b)
+                if not far4[p] & p0 and not missing(bl, closed[p]):
+                    dead = no_block0
+            for p in bits(p0 & cv & settled4[v]):                       # (c)
+                if not far4[p] & p0:
+                    out.append(missing(bl, closed[p]))
+        for r in out:
+            dead |= supersets[r]
+        return dead
 
     plain = [_VIOLATIONS[c] for c in ("A", "A'", "B", "B'") if c in conds]
 
@@ -633,7 +684,7 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
         if not refine:
             yield bm, None
             return
-        for split in _split_dfs(host, bm, conds):
+        for split in _split_dfs(host, bm, conds, geo):
             yield bm, split
 
     def rec(v: int, bl: tuple[int, ...], nb1: tuple[int, ...], nb2: tuple[int, ...]):
@@ -644,9 +695,7 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
                 yield from leaf(bl)
             return
         vb, cv, bv = 1 << v, closed[v], ball2[v]
-        dead = 0
-        for r in cuts(v, bl, nb1, nb2):
-            dead |= supersets[r]
+        dead = cuts(v, bl, nb1, nb2)
         for i in sym:
             if bl[i] == bl[i + 1]:
                 dead |= swapped[i]
@@ -662,7 +711,7 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
     return rec(0, empty, empty, empty)
 
 
-def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset):
+def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset, geo: tuple):
     """The (Q0, Q1) splits of block 0 that pass the A''/B'' of ``conds``.
 
     Q0 | Q1 is block 0 and its lowest vertex is pinned into Q0.  Vertices
@@ -670,8 +719,9 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset):
     vertex skips Q1-only), so the splits come in lexicographic order of
     that pattern vector.  A subtree is cut as soon as a clause fails in a
     way no later vertex can repair; the splits reached are checked in full.
+    ``geo`` is ``_geometry(g)``.
     """
-    full, closed, ball2, _, far4 = _geometry(g)
+    full, closed, ball2, _, far4 = geo
     p0, rest = bm[0], bm[1:]
     vs = list(bits(p0))
     need_a, need_b = "A''" in conds, "B''" in conds
@@ -911,8 +961,10 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     cov_{AA''B''} = 2 needs diameter >= 4, radius >= 3 and (at diameter
     exactly 4) a vertex triple with empty common 2-ball intersection.
     These are the rows of ``TWO_BLOCK_FACTS``.  Everything left over goes
-    to the bounded decision procedure; what it cannot settle is reported
-    UNKNOWN with the bound that stopped it.
+    to the bounded decision procedure, tried at k = 2, 3 and kappa; what
+    it cannot settle is reported UNKNOWN with the bound in force and
+    whether that bound (``stop="vertex-bound"``) or the end of those
+    block counts (``stop="ladder"``) stopped it.
     """
     res_a = cov_A(p)
     if not res_a.found:
@@ -940,14 +992,14 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
             try:
                 dec = decide_cover_k(p, k, conds, refine=key == "AA''B''", bound=bound)
             except BoundExceededError:
-                return CovSizeResult(key, Unknown(lo, n, bound_at(k)), None,
-                                     method if shortcut else f"bound@k={k}")
+                return CovSizeResult(key, Unknown(lo, n, bound_at(k), "vertex-bound"),
+                                     None, method if shortcut else f"bound@k={k}")
             if dec.found:
                 return CovSizeResult(key, k, dec.witness,
                                      "decide-k" if shortcut is None else
                                      f"{shortcut}+decide-k")
             lo = k + 1
-        return CovSizeResult(key, Unknown(lo, n, bound_at(max(ks, default=3))),
+        return CovSizeResult(key, Unknown(lo, n, bound_at(max(ks, default=3)), "ladder"),
                              None, method)
 
     for key in PROFILE_KEYS[1:]:

@@ -364,6 +364,17 @@ class TestPrunedSearch:
                 assert list(_library_stream(g, k, conds)) == ref[conds], \
                     (g.edges, conds)
 
+    def test_refined_three_block_streams_match_literal_oracle(self):
+        # the B''-carrying refined sets, whose block search B''-2 cuts
+        cond_sets = [("A", "A''", "B''"), ("B''",)]
+        for g in U.atlas_graphs(max_n=4):
+            if min(g.ecc) < 2:
+                continue
+            ref = _literal_streams(g, 3, cond_sets)
+            for conds in cond_sets:
+                assert list(_library_stream(g, 3, conds)) == ref[conds], \
+                    (g.edges, conds)
+
     @settings(max_examples=60, deadline=None)
     @given(_graph_and_conds())
     def test_stream_prefix_matches_literal_oracle_random(self, case):
@@ -581,6 +592,25 @@ class TestProfileBound:
         prof = cov_profile(Graph.cycle(7), bound=20)
         assert prof["A'"].value == Unknown(4, 7, 20)
         assert prof["A'B'"].value == Unknown(4, 7, 20)
+
+    def test_stop_names_the_vertex_bound(self):
+        prof = cov_profile(Graph.cycle(7), bound=5)
+        for key in ("AB", "A'", "A'B'", "AA''B''"):
+            assert prof[key].value.stop == "vertex-bound", key
+            assert prof[key].to_json()["value"]["stop"] == "vertex-bound", key
+
+    def test_stop_names_the_ladder(self):
+        # n = 7 is far under the bound: k = 2 and 3 exhausted, k = 4 untried
+        prof = cov_profile(Graph.cycle(7), bound=20)
+        for key in ("A'", "A'B'"):
+            assert prof[key].value.stop == "ladder", key
+            assert prof[key].to_json()["value"] == {
+                "unknown": True, "lo": 4, "hi": 7, "bound": 20, "stop": "ladder"}
+
+    def test_stop_is_left_out_of_equality_and_repr(self):
+        a, b = Unknown(4, 7, 20, "ladder"), Unknown(4, 7, 20, "vertex-bound")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "UNKNOWN(lo=4, hi=7, bound=20)"
 
 
 @st.composite

@@ -1,0 +1,83 @@
+"""Print one canonical JSON line per ucgkit answer on a fixed corpus.
+
+Run it once against each of two versions of the package and compare the
+outputs with ``cmp``: equal outputs mean the two versions give
+byte-identical answers, witnesses included.  The corpus is
+
+* ``appendage_number(C, P).to_json()`` for C in {k2, p3, 2k1}, over the
+  atlas graphs with radius >= 2 and every fixture;
+* ``cov_profile(P)``, as ``CovSizeResult.to_json()`` per key, over the
+  atlas graphs with n <= 6 and every fixture;
+* ``decide_cover_k`` on prism3..prism7 for k = 2..4 and each profile
+  condition set past "A" (a bound error is printed as such).
+
+``--max-n N`` keeps only the graphs with at most N vertices.  The package
+is imported from the path, so point ``PYTHONPATH`` at the version to
+digest:
+
+    PYTHONPATH=src python3 tools/answer_digest.py > digest.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+import ucgkit as U
+from ucgkit.coverings import PROFILE_CONDS
+
+CENTERS = {"k2": U.Graph.complete(2), "p3": U.Graph.path(3), "2k1": U.Graph.empty(2)}
+PRISMS = range(3, 8)
+DECIDE_KS = range(2, 5)
+PROFILE_MAX_N = 6
+
+
+def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
+    """(name, graph) pairs of the atlas graphs with n <= ``max_n`` and of
+    the fixtures with at most ``max_n`` vertices."""
+    atlas = [(f"atlas{i}", g)
+             for i, g in enumerate(U.atlas_graphs(max_n=min(max_n, 7)))]
+    fixtures = [(f"fixture:{fx.name}", fx.graph) for fx in U.all_fixtures()
+                if fx.graph.n <= max_n]
+    return atlas, fixtures
+
+
+def answers(max_n: int):
+    """Yield one JSON-ready record per answer, in a fixed order."""
+    atlas, fixtures = corpus(max_n)
+    append_graphs = [(name, g) for name, g in atlas if min(g.ecc) >= 2] + fixtures
+    for cname, c in CENTERS.items():
+        for name, g in append_graphs:
+            yield {"op": "append", "center": cname, "graph": name,
+                   "answer": U.appendage_number(c, g).to_json()}
+    profile_graphs = [(name, g) for name, g in atlas if g.n <= PROFILE_MAX_N] + fixtures
+    for name, g in profile_graphs:
+        yield {"op": "profile", "graph": name,
+               "answer": {key: res.to_json() for key, res in U.cov_profile(g).items()}}
+    for m in PRISMS:
+        g = U.gen_prism(m).graph
+        if g.n > max_n:
+            continue
+        for k in DECIDE_KS:
+            for key, conds in PROFILE_CONDS.items():
+                try:
+                    ans = U.decide_cover_k(g, k, conds, refine=key == "AA''B''").to_json()
+                except U.BoundExceededError as e:
+                    ans = {"error": "bound", "message": str(e)}
+                yield {"op": "decide", "graph": f"prism{m}", "k": k, "key": key,
+                       "answer": ans}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--max-n", type=int, default=sys.maxsize,
+                    help="keep only graphs with at most this many vertices")
+    args = ap.parse_args(argv)
+    for rec in answers(args.max_n):
+        sys.stdout.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
