@@ -12,9 +12,8 @@ certificates plus an independent brute-force oracle.
 from .analysis import (InducedCoverResult, UcgAnalysis,
                        distance_preserving_spanning_check, eccentric_set,
                        induced_covering, periphery_covering, ucg_analysis)
-from .appendage import (AppendageResult, Unresolved, appendage_center_only,
-                        appendage_number, appendage_periphery_only,
-                        brute_force_appendage)
+from .appendage import (AppendageResult, appendage_center_only, appendage_number,
+                        appendage_periphery_only, brute_force_appendage)
 from .codecs import (decode_graph6, encode_graph6, format_edge_list,
                      load_graph_text, parse_edge_list, to_dot)
 from .coverings import (CONDITIONS, INFEASIBLE, ConditionReport, CovSizeResult,

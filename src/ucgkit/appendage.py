@@ -21,7 +21,7 @@ can meet the printed conditions while its construction degenerates
 treats "some witness builds and verifies" as the decision, walking the
 whole witness stream when needed; searches that exceed their bounds, or
 condition-satisfiable instances where nothing builds, yield an explicit
-unresolved interval instead of a guess.
+``Unknown`` interval, saying why it stopped, instead of a guess.
 
 ``brute_force_appendage`` is the independent oracle: it tries t = 0, 1,
 ... added vertices, enumerating every free edge subset and accepting the
@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations
 
-from .coverings import (PROFILE_CONDS, Covering, cov_A, iter_covering_witnesses,
-                        singleton_witness, two_block_fact)
+from .coverings import (PROFILE_CONDS, Covering, Unknown, cov_A, decide_bound,
+                        iter_covering_witnesses, singleton_witness, two_block_fact)
 from .errors import BoundExceededError, InternalCheckError
 from .graphs import INF, Graph, MetricProfile, bfs_layers, json_number, metric_profile
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
@@ -54,19 +54,8 @@ DEFAULT_ORACLE_BOUND = 24
 
 
 @dataclass(frozen=True)
-class Unresolved:
-    """The exact value is one of lo..hi; the deciders ran out of bounds."""
-
-    lo: int
-    hi: int
-
-    def __repr__(self):
-        return f"UNRESOLVED(lo={self.lo}, hi={self.hi})"
-
-
-@dataclass(frozen=True)
 class AppendageResult:
-    value: object  # int | INF | Unresolved
+    value: object  # int | INF | Unknown
     case: str
     certificates: dict
     witness: Scaffold | None
@@ -74,8 +63,8 @@ class AppendageResult:
     def to_json(self) -> dict:
         from .codecs import encode_graph6
 
-        if isinstance(self.value, Unresolved):
-            val: object = {"lo": self.value.lo, "hi": self.value.hi}
+        if isinstance(self.value, Unknown):
+            val: object = self.value.to_json()
         else:
             val = json_number(self.value)
         wit = None
@@ -105,7 +94,8 @@ class _Route:
     status: "built" (witness graph verified), "no-witness" (no covering
     meets the conditions at size kappa), "no-build" (coverings meet the
     conditions but none of their constructions verified - overlap
-    degeneracy), "bound"/"capped" (search could not finish).
+    degeneracy), "vertex-bound"/"witness-cap" (search could not finish).
+    The unfinished statuses are ``Unknown`` stop words.
     """
 
     __slots__ = ("status", "witness", "scaffold", "reason")
@@ -127,7 +117,7 @@ def _try(builder, wit, c, p, expect):
 
 
 def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
-           bound: int | None, builder, expect: int) -> _Route:
+           bound: int, builder, expect: int) -> _Route:
     """Find a size-kappa covering meeting the conditions of profile key
     ``key`` whose construction verifies.  At kappa = 2 the key's size-2
     facts come first: one may rule the covering out, or hand over a
@@ -136,7 +126,6 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
     condition-passing covering was tried, up to a permutation of its
     blocks, which gives an isomorphic scaffold."""
     conds = PROFILE_CONDS[key]
-    refine = key == "AA''B''"
     fact = two_block_fact(p, prof, key) if kappa == 2 else None
     if fact is not None:
         if fact.build is None:
@@ -151,11 +140,10 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
         if s is not None:
             return _Route("built", wit, s, "singletons")
     try:
-        gen = iter_covering_witnesses(p, kappa, conds, refine=refine, bound=bound,
-                                      orbit_leaders=True)
+        gen = iter_covering_witnesses(p, kappa, conds, bound, orbit_leaders=True)
         first = next(gen, None)
     except BoundExceededError:
-        return _Route("bound", reason=f"bound exceeded at k={kappa}")
+        return _Route("vertex-bound", reason=f"bound exceeded at k={kappa}")
     if first is None:
         return _Route("no-witness", reason=f"exhausted@k={kappa}")
     tried = 0
@@ -165,7 +153,7 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
             return _Route("built", wit, s, f"decide@k={kappa}")
         tried += 1
         if tried >= WITNESS_RETRY_CAP:
-            return _Route("capped", reason=f"witness retry cap at k={kappa}")
+            return _Route("witness-cap", reason=f"witness retry cap at k={kappa}")
     return _Route("no-build",
                   reason=f"conditions met at k={kappa}, no construction verified")
 
@@ -182,6 +170,7 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
 
     res_a = cov_A(p)
     kappa = res_a.value
+    bound = decide_bound(kappa, bound)
     certs: dict = {"kappa": kappa, "cov_A_witness": res_a.witness.to_json(),
                    "radius": json_number(prof.radius),
                    "diameter": json_number(prof.diameter)}
@@ -209,8 +198,8 @@ def _complete_center(c, p, kappa, cov_a_wit, prof, certs, bound):
                                certs, scaffold)
     # "no-build" keeps the covering-size equivalence out of reach for
     # this instance (coverings meet A and B but no construction checks
-    # out), and "bound"/"capped" means the search could not finish
-    return AppendageResult(Unresolved(kappa, kappa + 1),
+    # out), and "vertex-bound"/"witness-cap" means the search could not finish
+    return AppendageResult(Unknown(kappa, kappa + 1, bound, route.status),
                            f"complete center: cov_AB undecided ({route.reason})",
                            certs, None)
 
@@ -228,8 +217,8 @@ def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
         return AppendageResult(2 * kappa,
                                f"general center: cov_A'B'=kappa ({r1.reason})",
                                certs, r1.scaffold)
-    if r1.status in ("bound", "capped"):
-        return AppendageResult(Unresolved(2 * kappa, 2 * kappa + 2),
+    if r1.status in ("vertex-bound", "witness-cap"):
+        return AppendageResult(Unknown(2 * kappa, 2 * kappa + 2, bound, r1.status),
                                f"general center: cov_A'B' undecided ({r1.reason})",
                                certs, None)
 
@@ -266,7 +255,9 @@ def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
                                "general center: no size-kappa covering meets"
                                " A'+B', A', or A+A''+B''",
                                certs, scaffold)
-    return AppendageResult(Unresolved(2 * kappa + 1, 2 * kappa + 2),
+    # the route that left 2*kappa+1 open: A' unless it had no covering
+    stop = (r3 if r2.status == "no-witness" else r2).status
+    return AppendageResult(Unknown(2 * kappa + 1, 2 * kappa + 2, bound, stop),
                            "general center: 2k+1 shapes undecided",
                            certs, None)
 

@@ -22,8 +22,8 @@ from .appendage import (appendage_center_only, appendage_number,
                         appendage_periphery_only, brute_force_appendage,
                         DEFAULT_ORACLE_BOUND)
 from .codecs import encode_graph6, load_graph_text, to_dot
-from .coverings import (INFEASIBLE, cov_A, cov_profile, decide_cover_k)
-from .errors import BoundExceededError, DomainError, MalformedInputError, UcgError
+from .coverings import INFEASIBLE, RefinedCovering, cov_A, cov_profile, decide_cover_k
+from .errors import MalformedInputError, UcgError
 from .families import fixture_manifest, named_graph
 from .graphs import INF, Graph, json_number
 from .scaffolds import build_refined_scaffold, build_scaffold, verify_construction
@@ -31,6 +31,17 @@ from .scaffolds import build_refined_scaffold, build_scaffold, verify_constructi
 SCHEMA = "ucg-report/1"
 
 _COND_TOKENS = {"a": "A", "b": "B", "a1": "A'", "b1": "B'", "a2": "A''", "b2": "B''"}
+
+
+def _int_at_least(lo: int):
+    """An argparse ``type`` taking integers >= ``lo``; argparse turns a
+    rejected value into a usage error, exit code 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return integer
 
 
 @functools.cache
@@ -47,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         if periphery:
             sp.add_argument("--periphery", metavar="FILE_OR_TOKEN")
         sp.add_argument("--json", metavar="PATH", dest="json_path")
-        sp.add_argument("--bound", type=int, default=None)
+        sp.add_argument("--bound", type=_int_at_least(1), default=None)
 
     sp = sub.add_parser("analyze", help="center / centered periphery / UCG test")
     common(sp, periphery=True)
@@ -72,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force appendage search")
     common(sp, center=True, periphery=True)
-    sp.add_argument("--tmax", type=int, default=2)
+    sp.add_argument("--tmax", type=_int_at_least(0), default=2)
 
     sp = sub.add_parser("families", help="emit the fixture corpus")
     common(sp)
@@ -81,17 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_graph(spec: str) -> Graph:
+def _load_graph(inputs: dict, role: str, spec: str) -> Graph:
+    """The graph a file path or token names, its digest recorded in
+    ``inputs`` under ``role``."""
     path = Path(spec)
-    if path.exists():
-        return load_graph_text(path.read_text())
-    return named_graph(spec)
-
-
-def _digest(g: Graph) -> dict:
+    g = load_graph_text(path.read_text()) if path.exists() else named_graph(spec)
     g6 = encode_graph6(g)
-    return {"n": g.n, "m": g.m, "graph6": g6,
-            "sha256": hashlib.sha256(g6.encode()).hexdigest()}
+    inputs[role] = {"n": g.n, "m": g.m, "graph6": g6,
+                    "sha256": hashlib.sha256(g6.encode()).hexdigest()}
+    return g
 
 
 def _vertices(g: Graph, vs) -> dict:
@@ -137,8 +146,7 @@ def run_command(argv: list[str],
 def _cmd_analyze(args, inputs):
     if not args.periphery:
         raise MalformedInputError("analyze needs --periphery")
-    g = _load_graph(args.periphery)
-    inputs["periphery"] = _digest(g)
+    g = _load_graph(inputs, "periphery", args.periphery)
     a = ucg_analysis(g)
     periphery = [v for v in range(g.n) if g.ecc[v] == a.diameter]
     result = {
@@ -167,13 +175,11 @@ def _cmd_analyze(args, inputs):
 def _cmd_cover(args, inputs):
     if not args.periphery:
         raise MalformedInputError("cover needs --periphery")
-    g = _load_graph(args.periphery)
-    inputs["periphery"] = _digest(g)
+    g = _load_graph(inputs, "periphery", args.periphery)
     if args.conditions:
         conds = _parse_conditions(args.conditions)
-        refine = bool(conds & {"A''", "B''"})
         k = args.k if args.k is not None else 2
-        dec = decide_cover_k(g, k, conds, refine=refine, bound=args.bound)
+        dec = decide_cover_k(g, k, conds, args.bound)
         return {"decide": dec.to_json(), "k": k}, 0, {}
     profile = cov_profile(g, bound=args.bound)
     result = {key: res.to_json() for key, res in profile.items()}
@@ -183,19 +189,13 @@ def _cmd_cover(args, inputs):
 
 def _cmd_append(args, inputs):
     if args.center and args.periphery:
-        c = _load_graph(args.center)
-        p = _load_graph(args.periphery)
-        inputs["center"] = _digest(c)
-        inputs["periphery"] = _digest(p)
+        c = _load_graph(inputs, "center", args.center)
+        p = _load_graph(inputs, "periphery", args.periphery)
         res = appendage_number(c, p, bound=args.bound)
     elif args.center:
-        c = _load_graph(args.center)
-        inputs["center"] = _digest(c)
-        res = appendage_center_only(c)
+        res = appendage_center_only(_load_graph(inputs, "center", args.center))
     elif args.periphery:
-        p = _load_graph(args.periphery)
-        inputs["periphery"] = _digest(p)
-        res = appendage_periphery_only(p)
+        res = appendage_periphery_only(_load_graph(inputs, "periphery", args.periphery))
     else:
         raise MalformedInputError("append needs --center and/or --periphery")
     code = 1 if res.value == INF else 0
@@ -205,17 +205,13 @@ def _cmd_append(args, inputs):
 def _cmd_construct(args, inputs):
     if not (args.center and args.periphery):
         raise MalformedInputError("construct needs --center and --periphery")
-    c = _load_graph(args.center)
-    p = _load_graph(args.periphery)
-    inputs["center"] = _digest(c)
-    inputs["periphery"] = _digest(p)
+    c = _load_graph(inputs, "center", args.center)
+    p = _load_graph(inputs, "periphery", args.periphery)
 
-    refine = False
     if args.conditions:
         conds = _parse_conditions(args.conditions)
-        refine = bool(conds & {"A''", "B''"})
         k = args.k if args.k is not None else 2
-        dec = decide_cover_k(p, k, conds, refine=refine, bound=args.bound)
+        dec = decide_cover_k(p, k, conds, args.bound)
         if not dec.found:
             return {"covering": dec.to_json()}, 1, {}
         covering = dec.witness
@@ -225,7 +221,7 @@ def _cmd_construct(args, inputs):
             return {"covering": res.to_json()}, 1, {}
         covering = res.witness
 
-    if refine:
+    if isinstance(covering, RefinedCovering):
         scaffold = build_refined_scaffold(c, p, covering)
     else:
         rho = args.rho if args.rho is not None else (1 if c.is_complete else 2)
@@ -256,10 +252,8 @@ def _cmd_construct(args, inputs):
 def _cmd_oracle(args, inputs):
     if not (args.center and args.periphery):
         raise MalformedInputError("oracle needs --center and --periphery")
-    c = _load_graph(args.center)
-    p = _load_graph(args.periphery)
-    inputs["center"] = _digest(c)
-    inputs["periphery"] = _digest(p)
+    c = _load_graph(inputs, "center", args.center)
+    p = _load_graph(inputs, "periphery", args.periphery)
     bound = args.bound if args.bound is not None else DEFAULT_ORACLE_BOUND
     value = brute_force_appendage(c, p, args.tmax, bound=bound)
     infeasible = min(p.ecc) <= 1
@@ -289,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         report, code = run_command(argv, args)
     except SystemExit as exc:  # argparse already printed usage
         return 2 if exc.code not in (0, None) else 0
-    except (MalformedInputError, DomainError, BoundExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UcgError as exc:
+    except (UcgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True)

@@ -30,6 +30,7 @@ demand a witness *inside* a set are false for the empty set.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Sequence
@@ -153,21 +154,29 @@ INFEASIBLE = _Infeasible()
 
 @dataclass(frozen=True)
 class Unknown:
-    """Value not settled within enumeration bounds; carries what is known.
+    """A value not settled: the exact value is one of lo..hi.
 
-    ``stop`` says what ended the search: ``"vertex-bound"`` when n was
-    over the decision bound, ``"ladder"`` when every block count tried
-    was exhausted below the bound.  It takes no part in equality or the
+    ``bound`` is the decision vertex bound in force.  ``stop`` says what
+    ended the search: ``"vertex-bound"`` when n was over that bound,
+    ``"ladder"`` when every block count tried was exhausted below it;
+    in the appendage engine ``"witness-cap"`` when the witness retry cap
+    ran out, ``"no-build"`` when coverings met the conditions but none of
+    their constructions verified.  It takes no part in equality or the
     repr, which predate it.
     """
 
     lo: int
-    hi: int | None
+    hi: int
     bound: int
-    stop: Literal["ladder", "vertex-bound"] = field(default="ladder", compare=False)
+    stop: Literal["ladder", "vertex-bound", "witness-cap", "no-build"] = field(
+        default="ladder", compare=False)
 
     def __repr__(self):
         return f"UNKNOWN(lo={self.lo}, hi={self.hi}, bound={self.bound})"
+
+    def to_json(self) -> dict:
+        return {"unknown": True, "lo": self.lo, "hi": self.hi,
+                "bound": self.bound, "stop": self.stop}
 
 
 @dataclass(frozen=True)
@@ -187,8 +196,7 @@ class CovSizeResult:
         if isinstance(self.value, int):
             val: object = self.value
         elif isinstance(self.value, Unknown):
-            val = {"unknown": True, "lo": self.value.lo, "hi": self.value.hi,
-                   "bound": self.value.bound, "stop": self.value.stop}
+            val = self.value.to_json()
         else:
             val = "infeasible"
         return {
@@ -453,7 +461,11 @@ def _min_set_cover(cands: list[int], universe: int) -> list[int]:
 # --------------------------------------------------------------------------
 # decide_cover_k: bounded exhaustive decision for the compound conditions
 
-def _decide_bound(k: int) -> int:
+def decide_bound(k: int, bound: int | None = None) -> int:
+    """The vertex bound in force for a k-block decision: ``bound`` when
+    given, else ``UCG_BOUND`` from the environment, else the default."""
+    if bound is not None:
+        return bound
     env = os.environ.get("UCG_BOUND")
     if env:
         return int(env)
@@ -466,36 +478,31 @@ def conds_tag(conds: Iterable[str]) -> str:
 
 
 def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
-                            refine: bool = False, bound: int | None = None, *,
-                            orbit_leaders: bool = False):
+                            bound: int | None = None, *, orbit_leaders: bool = False):
     """Lazily yield every size-k covering of ``p`` meeting ``conds``, in
     lexicographic order of the per-vertex block-membership patterns (and,
-    under ``refine``, of the (Q_0, Q_1) split patterns of block 0).
+    for refined sets, those holding A'' or B'', of the (Q_0, Q_1) split
+    patterns of block 0, each witness then a ``RefinedCovering``).
 
     With ``orbit_leaders`` only the lexicographically least covering of
-    each block-permutation orbit is yielded (permuting blocks 1..k-1
-    under ``refine``, whose block 0 carries the split); the order is
-    kept.  See ``decide_cover_k``."""
+    each block-permutation orbit is yielded (permuting blocks 1..k-1 for
+    refined sets, whose block 0 carries the split); the order is kept.
+    See ``decide_cover_k``."""
     conds = frozenset(conds)
     unknown = conds - set(CONDITIONS)
     if unknown:
         raise ValueError(f"unknown conditions: {sorted(unknown)}")
-    if (conds & {"A''", "B''"}) and not refine:
-        raise ValueError("conditions A''/B'' require refine=True")
-    if refine and not (conds & {"A''", "B''"}):
-        raise ValueError("refine=True without A''/B'' conditions")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if bound is None:
-        bound = _decide_bound(k)
+    bound = decide_bound(k, bound)
     if p.n > bound:
         raise BoundExceededError(
             f"decide_cover_k: n={p.n} exceeds bound {bound} for k={k}")
 
-    for bm, split in _decide_dfs(p, k, conds, refine, orbit_leaders):
+    for bm, split in _decide_dfs(p, k, conds, orbit_leaders):
         cov = Covering(p, tuple(frozenset(bits(m)) for m in bm))
         witness: Covering | RefinedCovering = cov
-        if refine:
+        if split is not None:
             q0m, q1m = split
             witness = RefinedCovering(cov, 0, frozenset(bits(q0m)),
                                       frozenset(bits(q1m)))
@@ -504,16 +511,17 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
         yield witness
 
 
-def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
+def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
                    bound: int | None = None) -> CovSizeResult:
     """Is there a size-k covering of ``p`` meeting all of ``conds``?
 
     Enumerates per-vertex block-membership patterns (3^n ordered pairs
     with union V for k=2, 7^n for k=3, and so on) depth-first in
     lexicographic order, so the returned witness is the lexicographically
-    first one regardless of any internal work partitioning.  With
-    ``refine`` the first block additionally gets every (Q_0, Q_1) split
-    searched for the A''/B'' clauses.
+    first one regardless of any internal work partitioning.  When
+    ``conds`` holds A'' or B'' (a refined set), the first block
+    additionally gets every (Q_0, Q_1) split searched for their clauses.
+    ``bound`` caps n; ``decide_bound`` gives the one in force.
 
     Blocks only grow as vertices are placed, so each prune below fires on
     a violation that every completion keeps; a pruned subtree therefore
@@ -564,12 +572,12 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
     * (c) a p of P_0 with all of far4[p] before v and outside P_0, and v
       in N[p]: the patterns holding every sibling N[p] misses.
 
-    The conditions treat blocks alike (under ``refine``, every block but
+    The conditions treat blocks alike (for refined sets, every block but
     the split block 0), so each covering comes with all its block
     permutations.  Only the orbit leader, the lexicographically least
     permutation, is searched: when blocks i and i + 1 are equal over the
     vertices placed so far, v may not join block i + 1 without block i
-    (i >= 0 unrefined, i >= 1 under ``refine``).  That holds exactly when
+    (i >= 0 unrefined, i >= 1 refined).  That holds exactly when
     the blocks, read as membership vectors from vertex 0 on, never
     increase with the index, which is the least order; blocks equal so
     far form contiguous runs, so adjacent pairs suffice.  The answer is
@@ -580,19 +588,35 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str], refine: bool = False,
     still a leader, and a walked-out stream still means none verifies.
     """
     conds = frozenset(conds)
-    witness = next(iter_covering_witnesses(p, k, conds, refine=refine,
-                                           bound=bound, orbit_leaders=True), None)
+    witness = next(iter_covering_witnesses(p, k, conds, bound, orbit_leaders=True),
+                   None)
     tag = conds_tag(conds)
     if witness is None:
         return CovSizeResult(tag, INFEASIBLE, None, "exhausted")
     return CovSizeResult(tag, k, witness, "decide-k")
 
 
-def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
-                leaders: bool):
+@functools.cache
+def _pattern_tables(k: int):
+    """The k-only tables of ``_decide_dfs``, over block-membership patterns
+    (bit i of a pattern: block i): each pattern's blocks; ``supersets[r]``,
+    the patterns holding every block of r, as a bit set; the nonempty
+    patterns; those without block 0; and ``swapped[i]``, those holding
+    block i + 1 but not block i."""
+    pats = range(1 << k)
+    members = tuple(tuple(i for i in range(k) if pat >> i & 1) for pat in pats)
+    supersets = tuple(mask_of(pat for pat in pats if pat & r == r) for r in pats)
+    nonempty = (1 << (1 << k)) - 2
+    no_block0 = mask_of(pat for pat in pats if not pat & 1)
+    swapped = tuple(mask_of(pat for pat in pats if pat >> i & 3 == 2) for i in range(k - 1))
+    return members, supersets, nonempty, no_block0, swapped
+
+
+def _decide_dfs(host: Graph, k: int, conds: frozenset, leaders: bool):
     n = host.n
     geo = _geometry(host)
     full, closed, ball2, far3, far4 = geo
+    refine = bool(conds & {"A''", "B''"})
     need_a = bool(conds & {"A", "A'"})
     need_ap = "A'" in conds
     need_bp = "B'" in conds
@@ -609,17 +633,10 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, refine: bool,
     for v in reversed(range(n)):
         later |= last4[v]
         settled4[v] = full & ~later
-    members = [tuple(i for i in range(k) if pat >> i & 1) for pat in range(1 << k)]
-    # supersets[r]: the patterns holding every block of r, as a bit set
-    supersets = [mask_of(pat for pat in range(1 << k) if pat & r == r)
-                 for r in range(1 << k)]
-    nonempty = (1 << (1 << k)) - 2
-    no_block0 = mask_of(pat for pat in range(1 << k) if not pat & 1)
+    members, supersets, nonempty, no_block0, swapped = _pattern_tables(k)
     # orbit leaders: while blocks i and i + 1 (both past the split block
-    # under refine) are equal, v may not join block i + 1 without block i
+    # when refined) are equal, v may not join block i + 1 without block i
     sym = range(1 if refine else 0, k - 1) if leaders else ()
-    swapped = [mask_of(pat for pat in range(1 << k) if pat >> i & 3 == 2)
-               for i in range(k - 1)]
 
     def missing(bl: tuple[int, ...], m: int) -> int:
         out = 0
@@ -975,9 +992,6 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     prof = metric_profile(p)
     n = p.n
 
-    def bound_at(k: int) -> int:
-        return _decide_bound(k) if bound is None else bound
-
     def settle(key: str, lo: int, shortcut: str | None) -> CovSizeResult:
         conds = PROFILE_CONDS[key]
         lo = max(lo, kappa)
@@ -990,17 +1004,18 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
         method = shortcut or "decide-k"
         for k in ks:
             try:
-                dec = decide_cover_k(p, k, conds, refine=key == "AA''B''", bound=bound)
+                dec = decide_cover_k(p, k, conds, bound)
             except BoundExceededError:
-                return CovSizeResult(key, Unknown(lo, n, bound_at(k), "vertex-bound"),
-                                     None, method if shortcut else f"bound@k={k}")
+                unknown = Unknown(lo, n, decide_bound(k, bound), "vertex-bound")
+                return CovSizeResult(key, unknown, None,
+                                     method if shortcut else f"bound@k={k}")
             if dec.found:
                 return CovSizeResult(key, k, dec.witness,
                                      "decide-k" if shortcut is None else
                                      f"{shortcut}+decide-k")
             lo = k + 1
-        return CovSizeResult(key, Unknown(lo, n, bound_at(max(ks, default=3)), "ladder"),
-                             None, method)
+        unknown = Unknown(lo, n, decide_bound(max(ks, default=3), bound), "ladder")
+        return CovSizeResult(key, unknown, None, method)
 
     for key in PROFILE_KEYS[1:]:
         fact = two_block_fact(p, prof, key)

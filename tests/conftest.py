@@ -29,7 +29,7 @@ def prism7():
 def prism7_refined_decision(prism7):
     """The expensive exhaustive decision on the heptagonal prism, shared
     across tests: a refined 2-covering meeting A, A'' and B'' exists."""
-    return U.decide_cover_k(prism7, 2, ("A", "A''", "B''"), refine=True)
+    return U.decide_cover_k(prism7, 2, ("A", "A''", "B''"))
 
 
 @pytest.fixture(scope="session")

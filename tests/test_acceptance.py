@@ -82,11 +82,11 @@ def test_criterion_2_induced_covering_and_radial_path_laws():
 
 
 LAW_SPECS = [
-    ("depth-1 minus apex", ("A", "B"), False, "k2",
+    ("depth-1 minus apex", ("A", "B"), "k2",
      lambda C, p, w: build_scaffold(C, p, w, 1, drop=(1,))),
-    ("depth-2 minus apex chain", ("A'", "B'"), False, "both",
+    ("depth-2 minus apex chain", ("A'", "B'"), "both",
      lambda C, p, w: build_scaffold(C, p, w, 2, drop=(1, 2))),
-    ("refined scaffold", ("A", "A''", "B''"), True, "both",
+    ("refined scaffold", ("A", "A''", "B''"), "both",
      lambda C, p, w: build_refined_scaffold(C, p, w)),
 ]
 
@@ -121,8 +121,8 @@ def test_criterion_3_construction_equivalences(k2, p3):
     for g in U.atlas_graphs(max_n=5):
         # forward direction on every decision witness
         for k in (2, 3):
-            for name, conds, refine, which, builder in LAW_SPECS:
-                dec = decide_cover_k(g, k, conds, refine=refine)
+            for name, conds, which, builder in LAW_SPECS:
+                dec = decide_cover_k(g, k, conds)
                 if not dec.found:
                     continue
                 for C in centers[which]:

@@ -1,7 +1,7 @@
 import pytest
 
 import ucgkit as U
-from ucgkit import (INF, BoundExceededError, Graph, Unresolved,
+from ucgkit import (INF, BoundExceededError, Graph, Unknown,
                     appendage_center_only, appendage_number,
                     appendage_periphery_only, brute_force_appendage,
                     gen_P_alpha, gen_P_alpha_beta, verify_construction)
@@ -59,9 +59,26 @@ class TestAppendageNumber:
 
     def test_unresolved_when_bound_blocks_the_decision(self, k2):
         res = appendage_number(k2, Graph.cycle(5), bound=4)
-        assert res.value == Unresolved(3, 4)
+        assert res.value == Unknown(3, 4, 4)
+        assert res.value.stop == "vertex-bound"
         assert res.witness is None
         assert "undecided" in res.case
+
+    def test_unknown_when_bound_blocks_the_first_general_route(self, p3):
+        # kappa(C5) = 3 and n = 5 > 4 stops the A'B' route at once
+        res = appendage_number(p3, Graph.cycle(5), bound=4)
+        assert res.value == Unknown(6, 8, 4)
+        assert res.value.stop == "vertex-bound"
+        assert res.certificates["cov_A'B'_decision"]["status"] == "vertex-bound"
+
+    def test_open_2k_plus_1_takes_its_stop_from_the_refined_route(self, p3, prism7):
+        # A'B' and A' have no size-2 covering (connected, diam 4); the
+        # refined route is the one the bound stops
+        res = appendage_number(p3, prism7, bound=10)
+        assert res.value == Unknown(5, 6, 10)
+        assert res.certificates["cov_A'_decision"]["status"] == "no-witness"
+        assert res.certificates["cov_AA''B''_decision"]["status"] == "vertex-bound"
+        assert res.value.stop == "vertex-bound"
 
     def test_json_serialization(self, k2):
         res = appendage_number(k2, U.named_graph("2k2"))
@@ -70,7 +87,8 @@ class TestAppendageNumber:
         inf_d = appendage_number(k2, Graph.star(3)).to_json()
         assert inf_d["value"] == "inf"
         unres = appendage_number(k2, Graph.cycle(5), bound=4).to_json()
-        assert unres["value"] == {"lo": 3, "hi": 4}
+        assert unres["value"] == {"unknown": True, "lo": 3, "hi": 4, "bound": 4,
+                                  "stop": "vertex-bound"}
 
     def test_prism_values(self, p3, prism6, prism7):
         assert appendage_number(p3, prism6).value == 6

@@ -110,6 +110,13 @@ class TestAppend:
         report, code = run(["append", "--periphery", "c6"])
         assert code == 0 and report["result"]["value"] == 1
 
+    def test_bounded_interval_says_why_it_stopped(self):
+        report, code = run(["append", "--center", "k2", "--periphery", "c5",
+                            "--bound", "4"])
+        assert code == 0
+        assert report["result"]["value"] == {
+            "unknown": True, "lo": 3, "hi": 4, "bound": 4, "stop": "vertex-bound"}
+
 
 class TestConstruct:
     def test_scaffold_with_drop(self):
@@ -212,6 +219,15 @@ class TestMainEntry:
         assert main(["cover", "--periphery", "c7", "--conditions", "a,b"]) == 2
         err = capsys.readouterr().err
         assert "exceeds bound" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--center", "k2", "--periphery", "2k2", "--tmax", "-1"],
+        ["cover", "--periphery", "c5", "--bound", "-3"],
+        ["append", "--center", "k2", "--periphery", "c5", "--bound", "0"],
+        ["append", "--center", "k2", "--periphery", "c5", "--bound", "x"]])
+    def test_out_of_range_integer_option_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: argument --" in capsys.readouterr().err
 
     def test_exit_codes_match_run_command(self):
         assert main(["append", "--center", "k2", "--periphery", "k1_3"]) == 1

@@ -271,10 +271,6 @@ class TestDecide:
     def test_refine_validation(self):
         g = Graph.cycle(5)
         with pytest.raises(ValueError):
-            decide_cover_k(g, 2, ("A", "A''"), refine=False)
-        with pytest.raises(ValueError):
-            decide_cover_k(g, 2, ("A",), refine=True)
-        with pytest.raises(ValueError):
             decide_cover_k(g, 2, ("A", "X"))
 
     def test_determinism(self):
@@ -335,9 +331,8 @@ def _literal_streams(g, k, cond_sets, limit=None):
 
 
 def _library_stream(g, k, conds):
-    refine = any(c in ("A''", "B''") for c in conds)
-    for w in iter_covering_witnesses(g, k, conds, refine=refine):
-        yield (w.base.blocks, w.q0, w.q1) if refine else w.blocks
+    for w in iter_covering_witnesses(g, k, conds):
+        yield (w.base.blocks, w.q0, w.q1) if isinstance(w, RefinedCovering) else w.blocks
 
 
 @st.composite
@@ -424,10 +419,9 @@ class TestOrbitLeaders:
 
                 def blocks(w):
                     return w.base.blocks if refine else w.blocks
-                full = iter_covering_witnesses(g, k, conds, refine=refine)
+                full = iter_covering_witnesses(g, k, conds)
                 expect = [w for w in full if _is_orbit_leader(g.n, blocks(w), fixed)]
-                leaders = iter_covering_witnesses(g, k, conds, refine=refine,
-                                                  orbit_leaders=True)
+                leaders = iter_covering_witnesses(g, k, conds, orbit_leaders=True)
                 assert list(leaders) == expect, (g.edges, k, conds)
 
     def test_decide_matches_first_full_witness(self):
@@ -436,16 +430,14 @@ class TestOrbitLeaders:
                 continue
             for k in range(2, 6):
                 for key, conds in PROFILE_CONDS.items():
-                    refine = key == "AA''B''"
-                    dec = decide_cover_k(g, k, conds, refine=refine)
-                    first = next(iter_covering_witnesses(g, k, conds, refine=refine),
-                                 None)
+                    dec = decide_cover_k(g, k, conds)
+                    first = next(iter_covering_witnesses(g, k, conds), None)
                     assert dec.witness == first, (g.edges, k, key)
                     assert dec.found == (first is not None)
 
     def test_orbit_leaders_is_keyword_only(self):
         with pytest.raises(TypeError):
-            iter_covering_witnesses(Graph.cycle(5), 2, ("A",), False, None, True)
+            iter_covering_witnesses(Graph.cycle(5), 2, ("A",), None, True)
 
     def test_prism5_three_block_AprimeBprime_infeasible(self):
         g = gen_prism(5).graph

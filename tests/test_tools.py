@@ -23,5 +23,7 @@ def test_answer_digest_is_byte_stable():
     assert first == _digest("--max-n", "4")
     records = [json.loads(line) for line in first.splitlines()]
     # 10 atlas graphs with n <= 4 and radius >= 2 plus 6 fixtures, per
-    # center; 18 atlas graphs plus the 6 fixtures profiled; no prism fits
-    assert Counter(r["op"] for r in records) == {"append": 48, "profile": 24}
+    # center; 18 atlas graphs plus the 6 fixtures profiled; no prism fits;
+    # the 6 fixtures again under the small bound, with k2 and p3
+    assert Counter(r["op"] for r in records) == {
+        "append": 48, "profile": 24, "append-bounded": 12, "profile-bounded": 6}

@@ -9,7 +9,10 @@ byte-identical answers, witnesses included.  The corpus is
 * ``cov_profile(P)``, as ``CovSizeResult.to_json()`` per key, over the
   atlas graphs with n <= 6 and every fixture;
 * ``decide_cover_k`` on prism3..prism7 for k = 2..4 and each profile
-  condition set past "A" (a bound error is printed as such).
+  condition set past "A" (a bound error is printed as such);
+* last, ``appendage_number(C, P, bound=4)`` for C in {k2, p3} and
+  ``cov_profile(P, bound=4)`` over every fixture, so that unsettled
+  answers (``Unknown`` intervals with their stop causes) are compared too.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -31,6 +34,9 @@ CENTERS = {"k2": U.Graph.complete(2), "p3": U.Graph.path(3), "2k1": U.Graph.empt
 PRISMS = range(3, 8)
 DECIDE_KS = range(2, 5)
 PROFILE_MAX_N = 6
+#: The vertex bound of the last section, under which several fixtures stay
+#: unsettled.
+SMALL_BOUND = 4
 
 
 def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
@@ -62,11 +68,19 @@ def answers(max_n: int):
         for k in DECIDE_KS:
             for key, conds in PROFILE_CONDS.items():
                 try:
-                    ans = U.decide_cover_k(g, k, conds, refine=key == "AA''B''").to_json()
+                    ans = U.decide_cover_k(g, k, conds).to_json()
                 except U.BoundExceededError as e:
                     ans = {"error": "bound", "message": str(e)}
                 yield {"op": "decide", "graph": f"prism{m}", "k": k, "key": key,
                        "answer": ans}
+    for name, g in fixtures:
+        for cname in ("k2", "p3"):
+            res = U.appendage_number(CENTERS[cname], g, bound=SMALL_BOUND)
+            yield {"op": "append-bounded", "center": cname, "graph": name,
+                   "answer": res.to_json()}
+        prof = U.cov_profile(g, bound=SMALL_BOUND)
+        yield {"op": "profile-bounded", "graph": name,
+               "answer": {key: res.to_json() for key, res in prof.items()}}
 
 
 def main(argv: list[str] | None = None) -> int:
