@@ -32,10 +32,12 @@ centered periphery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, permutations
 
-from .coverings import (PROFILE_CONDS, Covering, Unknown, cov_A, decide_bound,
-                        iter_covering_witnesses, singleton_witness, two_block_fact)
+from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, Unknown, cov_A,
+                        decide_bound, iter_covering_witnesses, singleton_witness,
+                        two_block_fact)
 from .errors import BoundExceededError, InternalCheckError
 from .graphs import INF, Graph, MetricProfile, bfs_layers, json_number, metric_profile
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
@@ -75,19 +77,20 @@ class AppendageResult:
                 "certificates": self.certificates, "witness": wit}
 
 
-def _verified(s: Scaffold, c: Graph, p: Graph, expect: int) -> Scaffold:
+def _verifies(s: Scaffold, c: Graph, p: Graph, expect: int) -> bool:
+    """Does ``s`` verify over c and p with ``expect`` intermediate vertices?"""
     rep = verify_construction(s, c, p)
-    if not rep.ok:
-        raise InternalCheckError(
-            f"witness failed verification: is_ucg={rep.is_ucg},"
-            f" center={rep.center_matches}, periphery={rep.periphery_matches}")
-    if rep.intermediate_count != expect:
-        raise InternalCheckError(
-            f"witness has {rep.intermediate_count} intermediate vertices,"
-            f" expected {expect}")
+    return rep.ok and rep.intermediate_count == expect
+
+
+def _verified(s: Scaffold, c: Graph, p: Graph, expect: int) -> Scaffold:
+    """``s``, whose verification the theory guarantees; a failure is a bug."""
+    if not _verifies(s, c, p, expect):
+        raise InternalCheckError(f"witness fails to verify with {expect} intermediates")
     return s
 
 
+@dataclass(frozen=True)
 class _Route:
     """Outcome of hunting one construction shape for a value.
 
@@ -98,64 +101,57 @@ class _Route:
     The unfinished statuses are ``Unknown`` stop words.
     """
 
-    __slots__ = ("status", "witness", "scaffold", "reason")
-
-    def __init__(self, status, witness=None, scaffold=None, reason=""):
-        self.status = status
-        self.witness = witness
-        self.scaffold = scaffold
-        self.reason = reason
-
-    def note(self):
-        return {"status": self.status, "reason": self.reason}
+    status: str
+    reason: str
+    witness: Covering | RefinedCovering | None = None
+    scaffold: Scaffold | None = None
 
 
-def _try(builder, wit, c, p, expect):
-    s = builder(wit)
-    rep = verify_construction(s, c, p)
-    return s if rep.ok and rep.intermediate_count == expect else None
-
-
-def _route(c: Graph, p: Graph, prof: MetricProfile, key: str, kappa: int,
-           bound: int, builder, expect: int) -> _Route:
+def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
+           certs: dict, key: str, builder, expect: int) -> _Route:
     """Find a size-kappa covering meeting the conditions of profile key
-    ``key`` whose construction verifies.  At kappa = 2 the key's size-2
-    facts come first: one may rule the covering out, or hand over a
-    theory-backed witness to try.  If that disappoints, the witness
-    stream is walked in order, so a "no-build" answer means every
+    ``key`` whose construction ``builder(covering)`` verifies with
+    ``expect`` intermediate vertices, and record the outcome in ``certs``
+    as ``cov_{key}_decision`` and, once built, ``witness_covering``.
+
+    At kappa = 2 the key's size-2 facts come first: one may rule the
+    covering out, or hand over a theory-backed witness to try; so do the
+    singletons at kappa = n.  If that disappoints, the witness stream is
+    walked in order, so a "no-build" answer means every
     condition-passing covering was tried, up to a permutation of its
     blocks, which gives an isomorphic scaffold."""
-    conds = PROFILE_CONDS[key]
+    def done(status, reason, witness=None, scaffold=None):
+        certs[f"cov_{key}_decision"] = {"status": status, "reason": reason}
+        if witness is not None:
+            certs["witness_covering"] = witness.to_json()
+        return _Route(status, reason, witness, scaffold)
+
     fact = two_block_fact(p, prof, key) if kappa == 2 else None
-    if fact is not None:
-        if fact.build is None:
-            return _Route("no-witness", reason=fact.reason)
-        quick = fact.build(p)
-        s = _try(builder, quick, c, p, expect)
-        if s is not None:
-            return _Route("built", quick, s, fact.reason)
+    if fact is not None and fact.build is None:
+        return done("no-witness", fact.reason)
+
+    theory = [] if fact is None else [(fact.build(p), fact.reason)]
     if kappa == p.n:
-        wit = singleton_witness(p, key)
-        s = _try(builder, wit, c, p, expect)
-        if s is not None:
-            return _Route("built", wit, s, "singletons")
+        theory.append((singleton_witness(p, key), "singletons"))
+    for wit, reason in theory:
+        s = builder(wit)
+        if _verifies(s, c, p, expect):
+            return done("built", reason, wit, s)
     try:
-        gen = iter_covering_witnesses(p, kappa, conds, bound, orbit_leaders=True)
-        first = next(gen, None)
+        stream = iter_covering_witnesses(p, kappa, PROFILE_CONDS[key], bound,
+                                         orbit_leaders=True)
+        first = next(stream, None)
     except BoundExceededError:
-        return _Route("vertex-bound", reason=f"bound exceeded at k={kappa}")
+        return done("vertex-bound", f"bound exceeded at k={kappa}")
     if first is None:
-        return _Route("no-witness", reason=f"exhausted@k={kappa}")
-    tried = 0
-    for wit in chain((first,), gen):
-        s = _try(builder, wit, c, p, expect)
-        if s is not None:
-            return _Route("built", wit, s, f"decide@k={kappa}")
-        tried += 1
+        return done("no-witness", f"exhausted@k={kappa}")
+    for tried, wit in enumerate(chain((first,), stream), 1):
+        s = builder(wit)
+        if _verifies(s, c, p, expect):
+            return done("built", f"decide@k={kappa}", wit, s)
         if tried >= WITNESS_RETRY_CAP:
-            return _Route("witness-cap", reason=f"witness retry cap at k={kappa}")
-    return _Route("no-build",
-                  reason=f"conditions met at k={kappa}, no construction verified")
+            return done("witness-cap", f"witness retry cap at k={kappa}")
+    return done("no-build", f"conditions met at k={kappa}, no construction verified")
 
 
 def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageResult:
@@ -174,128 +170,101 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     certs: dict = {"kappa": kappa, "cov_A_witness": res_a.witness.to_json(),
                    "radius": json_number(prof.radius),
                    "diameter": json_number(prof.diameter)}
+    route = partial(_route, c, p, prof, kappa, bound, certs)
+    center = _complete_center if c.is_complete else _general_center
+    value, case, witness = center(c, p, kappa, res_a.witness, bound, route)
+    return AppendageResult(value, case, certs, witness)
 
-    if c.is_complete:
-        return _complete_center(c, p, kappa, res_a.witness, prof, certs, bound)
-    return _general_center(c, p, kappa, res_a.witness, prof, certs, bound)
 
-
-def _complete_center(c, p, kappa, cov_a_wit, prof, certs, bound):
+def _complete_center(c, p, kappa, cov_a_wit, bound, route):
     # value is kappa exactly when a size-kappa covering meeting A and B
     # admits a verifying depth-1 construction minus the apex
-    builder = lambda w: build_scaffold(c, p, w, 1, drop=(1,))
-    route = _route(c, p, prof, "AB", kappa, bound, builder, kappa)
-    certs["cov_AB_decision"] = route.note()
-    if route.status == "built":
-        certs["witness_covering"] = route.witness.to_json()
-        return AppendageResult(kappa,
-                               f"complete center: cov_AB=kappa ({route.reason})",
-                               certs, route.scaffold)
-    if route.status == "no-witness":
-        scaffold = _verified(build_scaffold(c, p, cov_a_wit, 1), c, p, kappa + 1)
-        return AppendageResult(kappa + 1,
-                               f"complete center: cov_AB>kappa ({route.reason})",
-                               certs, scaffold)
+    r = route("AB", lambda w: build_scaffold(c, p, w, 1, drop=(1,)), kappa)
+    if r.status == "built":
+        return kappa, f"complete center: cov_AB=kappa ({r.reason})", r.scaffold
+    if r.status == "no-witness":
+        return (kappa + 1, f"complete center: cov_AB>kappa ({r.reason})",
+                _verified(build_scaffold(c, p, cov_a_wit, 1), c, p, kappa + 1))
     # "no-build" keeps the covering-size equivalence out of reach for
     # this instance (coverings meet A and B but no construction checks
     # out), and "vertex-bound"/"witness-cap" means the search could not finish
-    return AppendageResult(Unknown(kappa, kappa + 1, bound, route.status),
-                           f"complete center: cov_AB undecided ({route.reason})",
-                           certs, None)
+    return (Unknown(kappa, kappa + 1, bound, r.status),
+            f"complete center: cov_AB undecided ({r.reason})", None)
 
 
-def _general_center(c, p, kappa, cov_a_wit, prof, certs, bound):
+def _general_center(c, p, kappa, cov_a_wit, bound, route):
     # 2*kappa  <=>  some size-kappa covering meeting A' and B' builds;
     # a graph realizing 2*kappa always contains such a buildable covering
     # as a spanning-subgraph certificate, so a fully walked stream with
     # no verifying construction rules the value out exactly.
-    builder1 = lambda w: build_scaffold(c, p, w, 2, drop=(1, 2))
-    r1 = _route(c, p, prof, "A'B'", kappa, bound, builder1, 2 * kappa)
-    certs["cov_A'B'_decision"] = r1.note()
+    r1 = route("A'B'", lambda w: build_scaffold(c, p, w, 2, drop=(1, 2)), 2 * kappa)
     if r1.status == "built":
-        certs["witness_covering"] = r1.witness.to_json()
-        return AppendageResult(2 * kappa,
-                               f"general center: cov_A'B'=kappa ({r1.reason})",
-                               certs, r1.scaffold)
+        return 2 * kappa, f"general center: cov_A'B'=kappa ({r1.reason})", r1.scaffold
     if r1.status in ("vertex-bound", "witness-cap"):
-        return AppendageResult(Unknown(2 * kappa, 2 * kappa + 2, bound, r1.status),
-                               f"general center: cov_A'B' undecided ({r1.reason})",
-                               certs, None)
+        return (Unknown(2 * kappa, 2 * kappa + 2, bound, r1.status),
+                f"general center: cov_A'B' undecided ({r1.reason})", None)
 
     # 2*kappa+1, first shape: depth-2 scaffold minus the apex tip over a
     # size-kappa covering meeting A'
-    builder2 = lambda w: build_scaffold(c, p, w, 2, drop=(2,))
-    r2 = _route(c, p, prof, "A'", kappa, bound, builder2, 2 * kappa + 1)
-    certs["cov_A'_decision"] = r2.note()
+    r2 = route("A'", lambda w: build_scaffold(c, p, w, 2, drop=(2,)), 2 * kappa + 1)
     if r2.status == "built":
-        certs["witness_covering"] = r2.witness.to_json()
-        return AppendageResult(2 * kappa + 1,
-                               f"general center: cov_A'=kappa ({r2.reason})",
-                               certs, r2.scaffold)
+        return 2 * kappa + 1, f"general center: cov_A'=kappa ({r2.reason})", r2.scaffold
 
     # 2*kappa+1, second shape: the refined scaffold; a graph realizing
     # 2*kappa+1 with a heavy second stratum always contains a buildable
     # refined covering, so "no-build" here is an exact exclusion
-    builder3 = lambda w: build_refined_scaffold(c, p, w)
-    r3 = _route(c, p, prof, "AA''B''", kappa, bound, builder3, 2 * kappa + 1)
-    certs["cov_AA''B''_decision"] = r3.note()
+    r3 = route("AA''B''", lambda w: build_refined_scaffold(c, p, w), 2 * kappa + 1)
     if r3.status == "built":
-        certs["witness_covering"] = r3.witness.to_json()
-        return AppendageResult(2 * kappa + 1,
-                               f"general center: cov_AA''B''=kappa ({r3.reason})",
-                               certs, r3.scaffold)
+        return (2 * kappa + 1, f"general center: cov_AA''B''=kappa ({r3.reason})",
+                r3.scaffold)
 
     # endgame: 2*kappa+2 is exact when the A'-route had no covering at
     # all and the refined route was walked to the end, because a graph
     # realizing 2*kappa+1 would force one of those certificates
     if r2.status == "no-witness" and r3.status in ("no-witness", "no-build"):
-        scaffold = _verified(build_scaffold(c, p, cov_a_wit, 2),
-                             c, p, 2 * kappa + 2)
-        return AppendageResult(2 * kappa + 2,
-                               "general center: no size-kappa covering meets"
-                               " A'+B', A', or A+A''+B''",
-                               certs, scaffold)
+        return (2 * kappa + 2,
+                "general center: no size-kappa covering meets A'+B', A', or A+A''+B''",
+                _verified(build_scaffold(c, p, cov_a_wit, 2), c, p, 2 * kappa + 2))
     # the route that left 2*kappa+1 open: A' unless it had no covering
     stop = (r3 if r2.status == "no-witness" else r2).status
-    return AppendageResult(Unknown(2 * kappa + 1, 2 * kappa + 2, bound, stop),
-                           "general center: 2k+1 shapes undecided",
-                           certs, None)
+    return (Unknown(2 * kappa + 1, 2 * kappa + 2, bound, stop),
+            "general center: 2k+1 shapes undecided", None)
 
 
 # --------------------------------------------------------------------------
-# the fixed-periphery / fixed-center specializations
+# the fixed-periphery / fixed-center specializations, answered by the engine
+
+def _one_sided(res: AppendageResult, added: int, case: str) -> AppendageResult:
+    """The engine's answer ``res`` grown by the ``added`` vertices that the
+    one-sided variant appends beside the intermediate ones."""
+    if res.witness is None:
+        raise InternalCheckError(f"{case}: the engine gave no witness ({res.case})")
+    value = res.value + added
+    return AppendageResult(value, case, {"appended": value}, res.witness)
+
 
 def appendage_center_only(c: Graph) -> AppendageResult:
     """Fewest vertices to append to c alone so it becomes the center of a
-    uniform central graph: 2 for a single vertex, 4 for a larger complete
-    graph, 6 otherwise.  The witness builds over the two-isolated-vertex
-    periphery, and its added-vertex count is re-checked against the value."""
+    uniform central graph: the appendage number over the two-isolated-
+    vertex periphery plus those two vertices, which is 2 for a single
+    vertex, 4 for a larger complete graph and 6 otherwise."""
     p2 = Graph.empty(2, labels=["u", "v"])
-    cover = Covering(p2, (frozenset((0,)), frozenset((1,))))
-    if c.n == 1:
-        value, scaffold, case = 2, build_cone(p2), "single vertex: cone"
-    elif c.is_complete:
-        value, scaffold, case = 4, build_scaffold(c, p2, cover, 1, drop=(1,)), \
-            "complete: depth-1 scaffold minus apex"
-    else:
-        value, scaffold, case = 6, build_scaffold(c, p2, cover, 2, drop=(1, 2)), \
-            "non-complete: depth-2 scaffold minus apex chain"
-    rep = verify_construction(scaffold, c, p2)
-    if not rep.ok or scaffold.graph.n - c.n != value:
-        raise InternalCheckError("center-only witness failed verification")
-    return AppendageResult(value, f"center-only, {case}",
-                           {"appended": scaffold.graph.n - c.n}, scaffold)
+    case = ("single vertex: cone" if c.n == 1 else
+            "complete: depth-1 scaffold minus apex" if c.is_complete else
+            "non-complete: depth-2 scaffold minus apex chain")
+    return _one_sided(appendage_number(c, p2), p2.n, f"center-only, {case}")
 
 
 def appendage_periphery_only(p: Graph) -> AppendageResult:
     """Fewest vertices to append to p alone so it becomes the centered
-    periphery of a uniform central graph: one cone apex, unless the
+    periphery of a uniform central graph: the appendage number over a
+    single-vertex center plus that vertex, so one cone apex, unless the
     radius is at most 1, which is impossible."""
-    if metric_profile(p).radius <= 1:
+    res = appendage_number(Graph(1), p)
+    if res.value == INF:
         return AppendageResult(INF, "periphery-only, infeasible: radius <= 1",
                                {}, None)
-    cone = _verified(build_cone(p), Graph(1), p, 0)
-    return AppendageResult(1, "periphery-only, cone", {"appended": 1}, cone)
+    return _one_sided(res, 1, "periphery-only, cone")
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ demand a witness *inside* a set are false for the empty set.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -40,7 +39,8 @@ from .graphs import INF, Graph, MetricProfile, bfs_layers, bits, mask_of, metric
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 
-#: Largest vertex count accepted by ``decide_cover_k`` per block count.
+#: Largest vertex count, and largest block count, accepted by
+#: ``decide_cover_k`` per block count.
 DEFAULT_DECIDE_BOUNDS = {2: 14, 3: 10}
 _FALLBACK_DECIDE_BOUND = 10
 
@@ -463,12 +463,9 @@ def _min_set_cover(cands: list[int], universe: int) -> list[int]:
 
 def decide_bound(k: int, bound: int | None = None) -> int:
     """The vertex bound in force for a k-block decision: ``bound`` when
-    given, else ``UCG_BOUND`` from the environment, else the default."""
+    given, else the default for k."""
     if bound is not None:
         return bound
-    env = os.environ.get("UCG_BOUND")
-    if env:
-        return int(env)
     return DEFAULT_DECIDE_BOUNDS.get(k, _FALLBACK_DECIDE_BOUND)
 
 
@@ -498,6 +495,8 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
     if p.n > bound:
         raise BoundExceededError(
             f"decide_cover_k: n={p.n} exceeds bound {bound} for k={k}")
+    if k > bound:
+        raise BoundExceededError(f"decide_cover_k: k={k} exceeds bound {bound}")
 
     for bm, split in _decide_dfs(p, k, conds, orbit_leaders):
         cov = Covering(p, tuple(frozenset(bits(m)) for m in bm))
@@ -521,7 +520,7 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
     first one regardless of any internal work partitioning.  When
     ``conds`` holds A'' or B'' (a refined set), the first block
     additionally gets every (Q_0, Q_1) split searched for their clauses.
-    ``bound`` caps n; ``decide_bound`` gives the one in force.
+    ``bound`` caps n and k; ``decide_bound`` gives the one in force.
 
     Blocks only grow as vertices are placed, so each prune below fires on
     a violation that every completion keeps; a pruned subtree therefore

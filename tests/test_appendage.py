@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 import ucgkit as U
@@ -5,6 +7,13 @@ from ucgkit import (INF, BoundExceededError, Graph, Unknown,
                     appendage_center_only, appendage_number,
                     appendage_periphery_only, brute_force_appendage,
                     gen_P_alpha, gen_P_alpha_beta, verify_construction)
+
+
+@pytest.fixture
+def nothing_verifies(monkeypatch):
+    # every scaffold fails, as overlapping blocks can make one fail
+    monkeypatch.setattr(U.appendage, "verify_construction",
+                        lambda s, c, p: SimpleNamespace(ok=False, intermediate_count=-1))
 
 
 class TestAppendageNumber:
@@ -90,6 +99,28 @@ class TestAppendageNumber:
         assert unres["value"] == {"unknown": True, "lo": 3, "hi": 4, "bound": 4,
                                   "stop": "vertex-bound"}
 
+    def test_no_build_leaves_the_complete_center_open(self, k2, nothing_verifies):
+        res = appendage_number(k2, U.named_graph("2k2"))
+        assert res.value == Unknown(2, 3, 14) and res.value.stop == "no-build"
+        assert res.case == ("complete center: cov_AB undecided"
+                            " (conditions met at k=2, no construction verified)")
+        assert res.witness is None
+
+    def test_no_build_leaves_2k_plus_1_open(self, p3, nothing_verifies):
+        res = appendage_number(p3, U.named_graph("2k2"))
+        assert res.value == Unknown(5, 6, 14) and res.value.stop == "no-build"
+        assert [res.certificates[f"cov_{key}_decision"]["status"]
+                for key in ("A'B'", "A'", "AA''B''")] == ["no-build"] * 3
+
+    def test_witness_cap_stops_each_center_kind(self, k2, p3, nothing_verifies,
+                                                monkeypatch):
+        monkeypatch.setattr(U.appendage, "WITNESS_RETRY_CAP", 1)
+        res = appendage_number(k2, U.named_graph("2k2"))
+        assert res.value == Unknown(2, 3, 14) and res.value.stop == "witness-cap"
+        res = appendage_number(p3, U.named_graph("2k2"))
+        assert res.value == Unknown(4, 6, 14) and res.value.stop == "witness-cap"
+        assert res.case == "general center: cov_A'B' undecided (witness retry cap at k=2)"
+
     def test_prism_values(self, p3, prism6, prism7):
         assert appendage_number(p3, prism6).value == 6
         assert appendage_number(p3, prism7).value == 5
@@ -123,6 +154,10 @@ class TestCenterOnly:
             assert res.witness.graph.n - c.n == want
             p2 = Graph.empty(2, labels=["u", "v"])
             assert verify_construction(res.witness, c, p2).ok
+
+    def test_missing_engine_witness_is_an_internal_error(self, nothing_verifies):
+        with pytest.raises(U.InternalCheckError):
+            appendage_center_only(Graph.complete(3))
 
 
 class TestPeripheryOnly:

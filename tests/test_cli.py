@@ -215,10 +215,24 @@ class TestMainEntry:
         assert main(["analyze"]) == 2
 
     def test_env_bound_override(self, capsys, monkeypatch):
+        # --bound sets the vertex bound; the environment no longer does
+        argv = ["cover", "--periphery", "c7", "--conditions", "a,b"]
+        assert main(argv + ["--bound", "3"]) == 2
+        assert "exceeds bound" in capsys.readouterr().err
+        plain, plain_code = run(argv)
         monkeypatch.setenv("UCG_BOUND", "3")
-        assert main(["cover", "--periphery", "c7", "--conditions", "a,b"]) == 2
-        err = capsys.readouterr().err
-        assert "exceeds bound" in err
+        report, code = run(argv)
+        plain.pop("timing")
+        report.pop("timing")
+        assert code == plain_code == 0 and report == plain
+
+    def test_block_count_is_capped_by_the_bound(self, capsys):
+        # the pattern tables grow as 4^k, so k past the bound is refused
+        argv = ["cover", "--periphery", "c5", "--conditions", "a,b", "--k"]
+        assert main(argv + ["16"]) == 2
+        assert "k=16 exceeds bound 10" in capsys.readouterr().err
+        report, code = run(argv + ["10"])
+        assert code == 0 and report["result"]["decide"]["value"] == 10
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--center", "k2", "--periphery", "2k2", "--tmax", "-1"],

@@ -10,9 +10,12 @@ byte-identical answers, witnesses included.  The corpus is
   atlas graphs with n <= 6 and every fixture;
 * ``decide_cover_k`` on prism3..prism7 for k = 2..4 and each profile
   condition set past "A" (a bound error is printed as such);
-* last, ``appendage_number(C, P, bound=4)`` for C in {k2, p3} and
+* ``appendage_number(C, P, bound=4)`` for C in {k2, p3} and
   ``cov_profile(P, bound=4)`` over every fixture, so that unsettled
-  answers (``Unknown`` intervals with their stop causes) are compared too.
+  answers (``Unknown`` intervals with their stop causes) are compared too;
+* last, the one-sided variants: ``appendage_center_only(C)`` and then
+  ``appendage_periphery_only(P)``, each over every atlas graph and every
+  fixture.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -81,6 +84,10 @@ def answers(max_n: int):
         prof = U.cov_profile(g, bound=SMALL_BOUND)
         yield {"op": "profile-bounded", "graph": name,
                "answer": {key: res.to_json() for key, res in prof.items()}}
+    for op, one_sided in (("center-only", U.appendage_center_only),
+                          ("periphery-only", U.appendage_periphery_only)):
+        for name, g in atlas + fixtures:
+            yield {"op": op, "graph": name, "answer": one_sided(g).to_json()}
 
 
 def main(argv: list[str] | None = None) -> int:
