@@ -278,7 +278,9 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     and inside p, whose edges are fixed; the nominal count is
     f(t) = |C||P| + t(|C|+|P|) + t(t-1)/2 and every tried t must satisfy
     f(t) <= bound.  Two sound reductions: edge sets differing only by a
-    permutation of the added vertices are enumerated once, and for t >= 1
+    permutation of the added vertices are enumerated once (a free-edge
+    mask is tried only if no permutation maps it to a smaller mask, each
+    image read from per-byte lookup tables), and for t >= 1
     no center-periphery edge can occur (such an edge would force the
     common center eccentricity to 1, putting the added vertices into the
     eccentric set of every central vertex, which the periphery must
@@ -300,13 +302,12 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     return None
 
 
-def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
-    nc, np_ = c.n, p.n
+def _oracle_frame(nc: int, np_: int, t: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The oracle's free edge slots for t added vertices, as (u, v) pairs
+    with u < v (bit i of a free-edge mask is pair i), and, for each
+    non-identity permutation of the added vertices, the pair index each
+    pair maps to."""
     n = nc + np_ + t
-    full = (1 << n) - 1
-    p_mask = ((1 << np_) - 1) << nc
-    base = list(c.adj_masks) + [m << nc for m in p.adj_masks] + [0] * t
-
     if t == 0:
         pairs = [(u, v + nc) for u in range(nc) for v in range(np_)]
     else:
@@ -325,23 +326,49 @@ def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
             sigma = dict(zip(ids, perm))
             perm_maps.append([index[tuple(sorted((sigma.get(u, u), sigma.get(v, v))))]
                               for u, v in pairs])
+    return pairs, perm_maps
 
-    nf = len(pairs)
-    rows = base[:]
+
+def _leader_masks(nf: int, perm_maps: list[list[int]]):
+    """The masks below 2**nf that no permutation in ``perm_maps`` maps
+    below themselves, in increasing order: one lex-leader per orbit.
+
+    Each permutation gets one image table per byte of the mask (256
+    entries, fewer for a short last byte), so a mask's image is the sum of
+    its bytes' images (they are disjoint, so the sum is their union)."""
+    if not perm_maps:
+        yield from range(1 << nf)
+        return
+    nbytes = (nf + 7) // 8
+    tables = []
+    for pm in perm_maps:
+        tabs = []
+        for j in range(0, nf, 8):
+            img = [0] * (1 << min(8, nf - j))
+            for b in range(1, len(img)):
+                low = b & -b
+                img[b] = img[b ^ low] | 1 << pm[j + low.bit_length() - 1]
+            tabs.append(img)
+        tables.append(tabs)
+    getitem = list.__getitem__
     for mask in range(1 << nf):
-        skip = False
-        for pm in perm_maps:
-            other = 0
-            m = mask
-            while m:
-                low = m & -m
-                other |= 1 << pm[low.bit_length() - 1]
-                m ^= low
-            if other < mask:
-                skip = True
+        chunks = mask.to_bytes(nbytes, "little")
+        for tabs in tables:
+            if sum(map(getitem, tabs, chunks)) < mask:
                 break
-        if skip:
-            continue
+        else:
+            yield mask
+
+
+def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
+    nc, np_ = c.n, p.n
+    n = nc + np_ + t
+    full = (1 << n) - 1
+    p_mask = ((1 << np_) - 1) << nc
+    base = list(c.adj_masks) + [m << nc for m in p.adj_masks] + [0] * t
+    pairs, perm_maps = _oracle_frame(nc, np_, t)
+    rows = base[:]
+    for mask in _leader_masks(len(pairs), perm_maps):
         rows[:] = base
         m = mask
         while m:

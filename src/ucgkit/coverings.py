@@ -604,7 +604,14 @@ def _pattern_tables(k: int):
     block i + 1 but not block i."""
     pats = range(1 << k)
     members = tuple(tuple(i for i in range(k) if pat >> i & 1) for pat in pats)
-    supersets = tuple(mask_of(pat for pat in pats if pat & r == r) for r in pats)
+    # superset sums (a zeta pass over the k blocks), k * 2^k ORs
+    sup = [1 << r for r in pats]
+    for i in range(k):
+        bit = 1 << i
+        for r in pats:
+            if not r & bit:
+                sup[r] |= sup[r | bit]
+    supersets = tuple(sup)
     nonempty = (1 << (1 << k)) - 2
     no_block0 = mask_of(pat for pat in pats if not pat & 1)
     swapped = tuple(mask_of(pat for pat in pats if pat >> i & 3 == 2) for i in range(k - 1))

@@ -205,3 +205,24 @@ def radial_blocks(g: Graph, center, cp, d1) -> list[frozenset[int]]:
             if x in onpath:
                 hits[x].update(onpath & set(cp))
     return [frozenset(hits[x]) for x in sorted(d1)]
+
+
+# --- the brute-force oracle's orbit filter ------------------------------------
+
+def orbit_leader_masks(pairs, added):
+    """The free-edge masks (bit i: ``pairs[i]``) that are least in their
+    orbit under the permutations of the vertices ``added``, in increasing
+    order.  Each permutation is applied to the edge set as a set of
+    pairs, and two edge sets compare as their pair positions, largest
+    first, which is how their masks compare as integers."""
+    position = {frozenset(pq): i for i, pq in enumerate(pairs)}
+    for mask in range(1 << len(pairs)):
+        edges = [frozenset(pq) for i, pq in enumerate(pairs) if mask >> i & 1]
+        key = sorted((position[e] for e in edges), reverse=True)
+        for perm in itertools.permutations(added):
+            sigma = dict(zip(added, perm))
+            image = [frozenset(sigma.get(v, v) for v in e) for e in edges]
+            if sorted((position[e] for e in image), reverse=True) < key:
+                break
+        else:
+            yield mask

@@ -2,11 +2,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 import ucgkit as U
 from ucgkit import (INF, BoundExceededError, Graph, Unknown,
                     appendage_center_only, appendage_number,
                     appendage_periphery_only, brute_force_appendage,
                     gen_P_alpha, gen_P_alpha_beta, verify_construction)
+from ucgkit.appendage import _leader_masks, _oracle_frame
 
 
 @pytest.fixture
@@ -187,6 +189,33 @@ class TestBruteForce:
     def test_bound_guard(self, k2):
         with pytest.raises(BoundExceededError):
             brute_force_appendage(k2, Graph.path(4), 3)
+
+    def test_general_center_refuted_through_three(self, p3):
+        # the engine says 4; f(4) = 26 free edges is past the default bound
+        assert brute_force_appendage(p3, Graph.empty(2), 3) is None
+
+    def test_complete_center_path_at_three(self, k2):
+        assert brute_force_appendage(k2, Graph.path(4), 3, bound=30) == 3
+
+    def test_general_center_path_refuted_through_two(self, p3):
+        assert brute_force_appendage(p3, Graph.path(4), 2, bound=30) is None
+
+    # (|C|, |P|, t): t <= 1 keeps every mask; 2 to 15 free edges, none a
+    # multiple of the 8-bit table width
+    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (2, 2, 1), (3, 4, 1), (2, 2, 2),
+                                          (1, 4, 2), (1, 2, 3), (2, 2, 3)])
+    def test_leader_masks_match_literal_orbit_minima(self, nc, np_, t):
+        pairs, perm_maps = _oracle_frame(nc, np_, t)
+        added = range(nc + np_, nc + np_ + t)
+        got = list(_leader_masks(len(pairs), perm_maps))
+        assert got == list(oracles.orbit_leader_masks(pairs, added))
+        if t <= 1:
+            assert got == list(range(1 << len(pairs)))
+
+    def test_leader_masks_count_for_p3_two_isolated(self):
+        pairs, perm_maps = _oracle_frame(3, 2, 3)
+        assert len(pairs) == 18
+        assert sum(1 for _ in _leader_masks(len(pairs), perm_maps)) == 45_760
 
     def test_agreement_on_quick_pairs(self, k2):
         for c, p, tmax in [(Graph(1), Graph.path(4), 0),

@@ -227,12 +227,19 @@ class TestMainEntry:
         assert code == plain_code == 0 and report == plain
 
     def test_block_count_is_capped_by_the_bound(self, capsys):
-        # the pattern tables grow as 4^k, so k past the bound is refused
+        # the pattern tables grow as 2^k, so k past the bound is refused
         argv = ["cover", "--periphery", "c5", "--conditions", "a,b", "--k"]
         assert main(argv + ["16"]) == 2
         assert "k=16 exceeds bound 10" in capsys.readouterr().err
         report, code = run(argv + ["10"])
         assert code == 0 and report["result"]["decide"]["value"] == 10
+
+    def test_block_count_under_a_raised_bound(self):
+        # k = 14 builds its 2^14-entry pattern tables in well under a second
+        argv = ["cover", "--periphery", "c5", "--conditions", "a,b", "--k", "14",
+                "--bound", "14"]
+        report, code = run(argv)
+        assert code == 0 and report["result"]["decide"]["value"] == 14
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--center", "k2", "--periphery", "2k2", "--tmax", "-1"],

@@ -13,7 +13,7 @@ from ucgkit import (INFEASIBLE, BoundExceededError, Covering, Graph,
                     decide_cover_k, gen_P_alpha, gen_prism,
                     iter_covering_witnesses, singleton_covering,
                     two_ball_triple_check)
-from ucgkit.coverings import PROFILE_CONDS
+from ucgkit.coverings import PROFILE_CONDS, _pattern_tables
 
 
 def cover(g, *blocks):
@@ -267,6 +267,20 @@ class TestDecide:
             decide_cover_k(Graph.cycle(15), 2, ("A",))
         with pytest.raises(BoundExceededError):
             decide_cover_k(Graph.cycle(11), 3, ("A",))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_pattern_tables_match_their_definition(self, k):
+        pats = range(1 << k)
+
+        def bitset(keep):
+            return sum(1 << pat for pat in pats if keep(pat))
+
+        members, supersets, nonempty, no_block0, swapped = _pattern_tables(k)
+        assert members == tuple(tuple(i for i in range(k) if pat >> i & 1) for pat in pats)
+        assert supersets == tuple(bitset(lambda pat: pat & r == r) for r in pats)
+        assert nonempty == bitset(lambda pat: pat != 0)
+        assert no_block0 == bitset(lambda pat: not pat & 1)
+        assert swapped == tuple(bitset(lambda pat: pat >> i & 3 == 2) for i in range(k - 1))
 
     def test_refine_validation(self):
         g = Graph.cycle(5)

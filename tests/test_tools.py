@@ -25,7 +25,8 @@ def test_answer_digest_is_byte_stable():
     # 10 atlas graphs with n <= 4 and radius >= 2 plus 6 fixtures, per
     # center; 18 atlas graphs plus the 6 fixtures profiled; no prism fits;
     # the 6 fixtures again under the small bound, with k2 and p3; the 18
-    # atlas graphs and 6 fixtures as the one side of each one-sided variant
+    # atlas graphs and 6 fixtures as the one side of each one-sided variant;
+    # the 9 oracle pairs, none over 4 vertices
     assert Counter(r["op"] for r in records) == {
         "append": 48, "profile": 24, "append-bounded": 12, "profile-bounded": 6,
-        "center-only": 24, "periphery-only": 24}
+        "center-only": 24, "periphery-only": 24, "oracle": 9}

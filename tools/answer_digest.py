@@ -13,9 +13,12 @@ byte-identical answers, witnesses included.  The corpus is
 * ``appendage_number(C, P, bound=4)`` for C in {k2, p3} and
   ``cov_profile(P, bound=4)`` over every fixture, so that unsettled
   answers (``Unknown`` intervals with their stop causes) are compared too;
-* last, the one-sided variants: ``appendage_center_only(C)`` and then
+* the one-sided variants: ``appendage_center_only(C)`` and then
   ``appendage_periphery_only(P)``, each over every atlas graph and every
-  fixture.
+  fixture;
+* last, ``brute_force_appendage(C, P, t_max)`` on the acceptance suite's
+  oracle corpus and on (p3, 2k1), each at the largest t_max the default
+  bound of 24 free edges admits.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -37,9 +40,13 @@ CENTERS = {"k2": U.Graph.complete(2), "p3": U.Graph.path(3), "2k1": U.Graph.empt
 PRISMS = range(3, 8)
 DECIDE_KS = range(2, 5)
 PROFILE_MAX_N = 6
-#: The vertex bound of the last section, under which several fixtures stay
-#: unsettled.
+#: The vertex bound of the bounded sections, under which several fixtures
+#: stay unsettled.
 SMALL_BOUND = 4
+#: (center, periphery, t_max) given to the brute-force oracle.
+ORACLE_CASES = (("k1", "2k1", 4), ("k1", "2k2", 3), ("k1", "p4", 3), ("k1", "c4", 3),
+                ("k2", "2k1", 3), ("k2", "2k2", 2), ("k2", "p4", 2), ("k2", "c4", 2),
+                ("p3", "2k1", 3))
 
 
 def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
@@ -88,6 +95,12 @@ def answers(max_n: int):
                           ("periphery-only", U.appendage_periphery_only)):
         for name, g in atlas + fixtures:
             yield {"op": op, "graph": name, "answer": one_sided(g).to_json()}
+    for ctok, ptok, tmax in ORACLE_CASES:
+        c, p = U.named_graph(ctok), U.named_graph(ptok)
+        if max(c.n, p.n) > max_n:
+            continue
+        yield {"op": "oracle", "center": ctok, "graph": ptok, "t_max": tmax,
+               "answer": U.brute_force_appendage(c, p, tmax)}
 
 
 def main(argv: list[str] | None = None) -> int:
