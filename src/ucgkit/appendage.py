@@ -39,7 +39,7 @@ from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, Unknown, cov_A
                         decide_bound, iter_covering_witnesses, singleton_witness,
                         two_block_fact)
 from .errors import BoundExceededError, InternalCheckError
-from .graphs import INF, Graph, MetricProfile, bfs_layers, json_number, metric_profile
+from .graphs import INF, Graph, MetricProfile, json_number, metric_profile
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
                         build_scaffold, verify_construction)
 
@@ -284,9 +284,15 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     no center-periphery edge can occur (such an edge would force the
     common center eccentricity to 1, putting the added vertices into the
     eccentric set of every central vertex, which the periphery must
-    equal).  Acceptance recomputes eccentricities from scratch: every
-    c-vertex must see exactly the p-vertices as its eccentric set, and
-    every other vertex must be strictly more eccentric.
+    equal).  Each tried host is one packed integer (row u at bits
+    [u*n, (u+1)*n)): the fixed edges plus, per byte of the mask, a
+    lookup-table entry holding that byte's free edges.  Acceptance walks
+    the host from scratch with its own breadth-first search, independent
+    of the kernel it checks: every c-vertex must see exactly the
+    p-vertices as its eccentric set, at one common eccentricity r*, and
+    every other vertex must be strictly more eccentric.  Each search stops
+    once its verdict is known: a c-vertex's at the first layer meeting
+    the p-vertices, any other vertex's after r* layers.
 
     Returns the minimal accepting t, or None if all t <= t_max fail.
     """
@@ -363,33 +369,60 @@ def _leader_masks(nf: int, perm_maps: list[list[int]]):
 def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
     nc, np_ = c.n, p.n
     n = nc + np_ + t
-    full = (1 << n) - 1
     p_mask = ((1 << np_) - 1) << nc
-    base = list(c.adj_masks) + [m << nc for m in p.adj_masks] + [0] * t
+    rows = list(c.adj_masks) + [m << nc for m in p.adj_masks]
+    host0 = sum(row << (i * n) for i, row in enumerate(rows))
     pairs, perm_maps = _oracle_frame(nc, np_, t)
-    rows = base[:]
-    for mask in _leader_masks(len(pairs), perm_maps):
-        rows[:] = base
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            m ^= low
-        if _accepts(rows, nc, n, full, p_mask):
-            return True
-    return False
+    tabs = _host_tables(pairs, n)
+    nbytes = len(tabs)
+    getitem = list.__getitem__
+    return any(_accepts(host0 + sum(map(getitem, tabs, mask.to_bytes(nbytes, "little"))),
+                        nc, n, p_mask)
+               for mask in _leader_masks(len(pairs), perm_maps))
 
 
-def _accepts(rows: list[int], nc: int, n: int, full: int, p_mask: int) -> bool:
-    r_star = -1
-    for src in range(nc):
-        layers, seen = bfs_layers(rows, 1 << src)
-        if seen != full or layers[-1] != p_mask:
+def _host_tables(pairs: list[tuple[int, int]], n: int) -> list[list[int]]:
+    """One table per byte of a free-edge mask: entry b is the packed
+    adjacency (row u at bits [u*n, (u+1)*n)) of the pairs whose bits are
+    set in b.  The pairs are distinct, so a mask's edges are the sum of
+    its bytes' entries."""
+    tabs = []
+    for j in range(0, len(pairs), 8):
+        img = [0] * (1 << min(8, len(pairs) - j))
+        for b in range(1, len(img)):
+            low = b & -b
+            u, v = pairs[j + low.bit_length() - 1]
+            img[b] = img[b ^ low] | 1 << (u * n + v) | 1 << (v * n + u)
+        tabs.append(img)
+    return tabs
+
+
+def _accepts(host: int, nc: int, n: int, p_mask: int) -> bool:
+    """Whether the packed host (row u at bits [u*n, (u+1)*n)) has center
+    eccentricity r* common to vertices 0..nc-1, each with the p-vertices
+    as its eccentric set, and every other vertex more eccentric.  A
+    center search stops at the first layer meeting P, which must be all
+    of P with every vertex reached; any other search stops after r*
+    layers, which must leave a vertex unreached."""
+    full = (1 << n) - 1
+    r_star = 0
+    for src in range(n):
+        center = src < nc
+        seen = frontier = 1 << src
+        depth = 0
+        while frontier and (not frontier & p_mask if center else depth < r_star):
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= host >> ((low.bit_length() - 1) * n)
+                frontier ^= low
+            frontier = nxt & full & ~seen
+            seen |= frontier
+            depth += 1
+        if center:
+            if frontier != p_mask or seen != full or r_star and depth != r_star:
+                return False
+            r_star = depth
+        elif seen == full:
             return False
-        if r_star < 0:
-            r_star = len(layers) - 1
-        elif len(layers) - 1 != r_star:
-            return False
-    return all(len(bfs_layers(rows, 1 << src)[0]) - 1 > r_star for src in range(nc, n))
+    return True

@@ -226,3 +226,17 @@ def orbit_leader_masks(pairs, added):
                 break
         else:
             yield mask
+
+
+def ucg_host_accepts(g: Graph, nc: int, np_: int) -> bool:
+    """Whether ``g`` is a uniform central host with center 0..nc-1 and
+    centered periphery nc..nc+np_-1: the center vertices share one
+    eccentricity r, the eccentric set of each is exactly that block, and
+    every other vertex is more eccentric."""
+    d = floyd_distances(g)
+    ecc = eccentricities(g)
+    r = ecc[0]
+    block = set(range(nc, nc + np_))
+    return (all(ecc[v] == r and {u for u in range(g.n) if d[v, u] == r} == block
+                for v in range(nc))
+            and all(ecc[v] > r for v in range(nc, g.n)))

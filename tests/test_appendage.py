@@ -1,6 +1,7 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import ucgkit as U
@@ -8,7 +9,7 @@ from ucgkit import (INF, BoundExceededError, Graph, Unknown,
                     appendage_center_only, appendage_number,
                     appendage_periphery_only, brute_force_appendage,
                     gen_P_alpha, gen_P_alpha_beta, verify_construction)
-from ucgkit.appendage import _leader_masks, _oracle_frame
+from ucgkit.appendage import _accepts, _host_tables, _leader_masks, _oracle_frame
 
 
 @pytest.fixture
@@ -176,6 +177,28 @@ class TestPeripheryOnly:
         assert verify_construction(res.witness, Graph(1), Graph.cycle(6)).ok
 
 
+@st.composite
+def _split_hosts(draw):
+    """(host, nc, np_): a graph on n <= 9 vertices split into nc center
+    vertices, then np_ periphery vertices, then the added ones, with a
+    random edge set (connected or not)."""
+    n = draw(st.integers(2, 9))
+    nc = draw(st.integers(1, n - 1))
+    np_ = draw(st.integers(1, n - nc))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return Graph(n, edges), nc, np_
+
+
+def _accepts_agrees(g, nc, np_):
+    """Assert that ``_accepts`` on g's packed host gives the literal
+    verdict, and return that verdict."""
+    host = sum(row << (u * g.n) for u, row in enumerate(g.adj_masks))
+    want = oracles.ucg_host_accepts(g, nc, np_)
+    assert _accepts(host, nc, g.n, ((1 << np_) - 1) << nc) == want
+    return want
+
+
 class TestBruteForce:
     def test_cone_found_at_zero(self):
         assert brute_force_appendage(Graph(1), Graph.cycle(4), 0) == 0
@@ -216,6 +239,58 @@ class TestBruteForce:
         pairs, perm_maps = _oracle_frame(3, 2, 3)
         assert len(pairs) == 18
         assert sum(1 for _ in _leader_masks(len(pairs), perm_maps)) == 45_760
+
+    def test_refutes_what_the_engine_puts_past_t_max(self, k2, p3):
+        for c, p, tmax, bound in [(k2, Graph.cycle(5), 2, 30), (k2, Graph.path(5), 2, 30),
+                                  (p3, Graph.cycle(5), 1, U.appendage.DEFAULT_ORACLE_BOUND)]:
+            assert brute_force_appendage(c, p, tmax, bound=bound) is None
+            assert appendage_number(c, p).value > tmax  # 4, 3 and 8
+
+    # 2, 7, 11 and 15 free edges: one to two table bytes, a short last one
+    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3)])
+    def test_host_tables_match_the_bit_walk(self, nc, np_, t):
+        n = nc + np_ + t
+        pairs, _ = _oracle_frame(nc, np_, t)
+        tabs = _host_tables(pairs, n)
+        for mask in range(1 << len(pairs)):
+            host = sum(map(list.__getitem__, tabs, mask.to_bytes(len(tabs), "little")))
+            rows = [0] * n
+            for i, (u, v) in enumerate(pairs):
+                if mask >> i & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            assert [host >> (u * n) & (1 << n) - 1 for u in range(n)] == rows
+            assert host >> (n * n) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(_split_hosts())
+    # accepted: the cone over C4; K2 with 2K2 and two added vertices
+    @example((Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]), 1, 4))
+    @example((Graph(8, [(0, 1), (0, 6), (0, 7), (1, 6), (1, 7), (2, 3), (2, 7), (3, 7),
+                        (4, 5), (4, 6), (5, 6)]), 2, 4))
+    # P is the last layer at depth 3 from vertex 0 and at depth 2 from
+    # vertex 1, and every other vertex has eccentricity 3 or 4
+    @example((Graph(6, [(0, 1), (1, 4), (1, 5), (2, 4), (3, 5)]), 2, 2))
+    # disconnected: the first layer meeting P is P, but vertex 2 is unreached;
+    # P is all that vertex 0 cannot reach
+    @example((Graph(3, [(0, 1)]), 1, 1))
+    @example((Graph(3, [(0, 1)]), 2, 1))
+    # a periphery vertex as central as the center
+    @example((Graph(3, [(0, 1), (0, 2), (1, 2)]), 1, 2))
+    def test_accepts_matches_literal_acceptance(self, case):
+        _accepts_agrees(*case)
+
+    def test_accepts_matches_literal_on_every_small_host(self):
+        # every labelled graph on 2..5 vertices under every split: 48 accepted
+        accepted = 0
+        for n in range(2, 6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for m in range(1 << len(pairs)):
+                g = Graph(n, [pq for i, pq in enumerate(pairs) if m >> i & 1])
+                for nc in range(1, n):
+                    for np_ in range(1, n - nc + 1):
+                        accepted += _accepts_agrees(g, nc, np_)
+        assert accepted == 48
 
     def test_agreement_on_quick_pairs(self, k2):
         for c, p, tmax in [(Graph(1), Graph.path(4), 0),

@@ -26,7 +26,8 @@ def test_answer_digest_is_byte_stable():
     # center; 18 atlas graphs plus the 6 fixtures profiled; no prism fits;
     # the 6 fixtures again under the small bound, with k2 and p3; the 18
     # atlas graphs and 6 fixtures as the one side of each one-sided variant;
-    # the 9 oracle pairs, none over 4 vertices
+    # the 9 default-bound oracle cases, none over 4 vertices, and the 2
+    # bound-30 cases without c5 or p5
     assert Counter(r["op"] for r in records) == {
         "append": 48, "profile": 24, "append-bounded": 12, "profile-bounded": 6,
-        "center-only": 24, "periphery-only": 24, "oracle": 9}
+        "center-only": 24, "periphery-only": 24, "oracle": 11}

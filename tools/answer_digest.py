@@ -18,7 +18,9 @@ byte-identical answers, witnesses included.  The corpus is
   fixture;
 * last, ``brute_force_appendage(C, P, t_max)`` on the acceptance suite's
   oracle corpus and on (p3, 2k1), each at the largest t_max the default
-  bound of 24 free edges admits.
+  bound of 24 free edges admits, then on (k2, p4, 3), (k2, c5, 2),
+  (k2, p5, 2) and (p3, p4, 2) under a bound of 30, which their records
+  carry as ``"bound"``.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -43,10 +45,13 @@ PROFILE_MAX_N = 6
 #: The vertex bound of the bounded sections, under which several fixtures
 #: stay unsettled.
 SMALL_BOUND = 4
-#: (center, periphery, t_max) given to the brute-force oracle.
-ORACLE_CASES = (("k1", "2k1", 4), ("k1", "2k2", 3), ("k1", "p4", 3), ("k1", "c4", 3),
-                ("k2", "2k1", 3), ("k2", "2k2", 2), ("k2", "p4", 2), ("k2", "c4", 2),
-                ("p3", "2k1", 3))
+#: (center, periphery, t_max, free-edge bound or None for the default)
+#: given to the brute-force oracle.
+ORACLE_CASES = (("k1", "2k1", 4, None), ("k1", "2k2", 3, None), ("k1", "p4", 3, None),
+                ("k1", "c4", 3, None), ("k2", "2k1", 3, None), ("k2", "2k2", 2, None),
+                ("k2", "p4", 2, None), ("k2", "c4", 2, None), ("p3", "2k1", 3, None),
+                ("k2", "p4", 3, 30), ("k2", "c5", 2, 30), ("k2", "p5", 2, 30),
+                ("p3", "p4", 2, 30))
 
 
 def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
@@ -95,12 +100,13 @@ def answers(max_n: int):
                           ("periphery-only", U.appendage_periphery_only)):
         for name, g in atlas + fixtures:
             yield {"op": op, "graph": name, "answer": one_sided(g).to_json()}
-    for ctok, ptok, tmax in ORACLE_CASES:
+    for ctok, ptok, tmax, bound in ORACLE_CASES:
         c, p = U.named_graph(ctok), U.named_graph(ptok)
         if max(c.n, p.n) > max_n:
             continue
-        yield {"op": "oracle", "center": ctok, "graph": ptok, "t_max": tmax,
-               "answer": U.brute_force_appendage(c, p, tmax)}
+        kw = {} if bound is None else {"bound": bound}
+        yield {"op": "oracle", "center": ctok, "graph": ptok, "t_max": tmax, **kw,
+               "answer": U.brute_force_appendage(c, p, tmax, **kw)}
 
 
 def main(argv: list[str] | None = None) -> int:
