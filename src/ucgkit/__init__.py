@@ -32,9 +32,7 @@ from .families import (Fixture, all_fixtures, fixture_manifest, gen_P_alpha,
                        gen_P_alpha_beta, gen_prism, named_graph,
                        periphery_gap_example, prism7_refined_cover,
                        refined_cover_of)
-from .graphs import (INF, Graph, MetricProfile, distance_matrix,
-                     induced_subgraph, metric_profile, set_distance,
-                     set_set_distance)
+from .graphs import INF, Graph, MetricProfile, induced_subgraph, metric_profile
 from .scaffolds import (Scaffold, VerificationReport, build_cone,
                         build_refined_scaffold, build_scaffold,
                         verify_construction)

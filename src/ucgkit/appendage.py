@@ -335,27 +335,31 @@ def _oracle_frame(nc: int, np_: int, t: int) -> tuple[list[tuple[int, int]], lis
     return pairs, perm_maps
 
 
-def _leader_masks(nf: int, perm_maps: list[list[int]]):
-    """The masks below 2**nf that no permutation in ``perm_maps`` maps
-    below themselves, in increasing order: one lex-leader per orbit.
+def _byte_tables(values: list[int]) -> list[list[int]]:
+    """One table per byte of a mask over ``values``: entry b of table j is
+    the union of ``values[8j + i]`` over the set bits i of b.  For values
+    that are disjoint bit sets, a mask's union is the sum of its bytes'
+    entries."""
+    tabs = []
+    for j in range(0, len(values), 8):
+        tab = [0] * (1 << min(8, len(values) - j))
+        for b in range(1, len(tab)):
+            low = b & -b
+            tab[b] = tab[b ^ low] | values[j + low.bit_length() - 1]
+        tabs.append(tab)
+    return tabs
 
-    Each permutation gets one image table per byte of the mask (256
-    entries, fewer for a short last byte), so a mask's image is the sum of
-    its bytes' images (they are disjoint, so the sum is their union)."""
-    if not perm_maps:
-        yield from range(1 << nf)
-        return
+
+def _leader_masks(nf: int, perm_maps: list[list[int]]):
+    """The little-endian bytes of each mask below 2**nf that no
+    permutation in ``perm_maps`` maps below itself, in increasing order:
+    one lex-leader per orbit, each image read from ``_byte_tables``."""
     nbytes = (nf + 7) // 8
-    tables = []
-    for pm in perm_maps:
-        tabs = []
-        for j in range(0, nf, 8):
-            img = [0] * (1 << min(8, nf - j))
-            for b in range(1, len(img)):
-                low = b & -b
-                img[b] = img[b ^ low] | 1 << pm[j + low.bit_length() - 1]
-            tabs.append(img)
-        tables.append(tabs)
+    if not perm_maps:
+        for mask in range(1 << nf):
+            yield mask.to_bytes(nbytes, "little")
+        return
+    tables = [_byte_tables([1 << q for q in pm]) for pm in perm_maps]
     getitem = list.__getitem__
     for mask in range(1 << nf):
         chunks = mask.to_bytes(nbytes, "little")
@@ -363,7 +367,7 @@ def _leader_masks(nf: int, perm_maps: list[list[int]]):
             if sum(map(getitem, tabs, chunks)) < mask:
                 break
         else:
-            yield mask
+            yield chunks
 
 
 def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
@@ -373,28 +377,11 @@ def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
     rows = list(c.adj_masks) + [m << nc for m in p.adj_masks]
     host0 = sum(row << (i * n) for i, row in enumerate(rows))
     pairs, perm_maps = _oracle_frame(nc, np_, t)
-    tabs = _host_tables(pairs, n)
-    nbytes = len(tabs)
+    # each pair's edge in the packed host (row u at bits [u*n, (u+1)*n))
+    tabs = _byte_tables([1 << (u * n + v) | 1 << (v * n + u) for u, v in pairs])
     getitem = list.__getitem__
-    return any(_accepts(host0 + sum(map(getitem, tabs, mask.to_bytes(nbytes, "little"))),
-                        nc, n, p_mask)
-               for mask in _leader_masks(len(pairs), perm_maps))
-
-
-def _host_tables(pairs: list[tuple[int, int]], n: int) -> list[list[int]]:
-    """One table per byte of a free-edge mask: entry b is the packed
-    adjacency (row u at bits [u*n, (u+1)*n)) of the pairs whose bits are
-    set in b.  The pairs are distinct, so a mask's edges are the sum of
-    its bytes' entries."""
-    tabs = []
-    for j in range(0, len(pairs), 8):
-        img = [0] * (1 << min(8, len(pairs) - j))
-        for b in range(1, len(img)):
-            low = b & -b
-            u, v = pairs[j + low.bit_length() - 1]
-            img[b] = img[b ^ low] | 1 << (u * n + v) | 1 << (v * n + u)
-        tabs.append(img)
-    return tabs
+    return any(_accepts(host0 + sum(map(getitem, tabs, chunks)), nc, n, p_mask)
+               for chunks in _leader_masks(len(pairs), perm_maps))
 
 
 def _accepts(host: int, nc: int, n: int, p_mask: int) -> bool:

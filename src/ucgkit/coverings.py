@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
-from .graphs import INF, Graph, MetricProfile, bfs_layers, bits, mask_of, metric_profile
+from .graphs import Graph, MetricProfile, bfs_layers, bits, mask_of, metric_profile
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 
@@ -840,9 +840,10 @@ def construct_AB_bipartition(p: Graph) -> Covering:
     """Two-block covering meeting conditions A and B, built recursively.
 
     Requires diameter >= 4 and radius >= 3 (infinite values qualify).
-    Start from the closed neighborhoods of a vertex pair at distance
-    exactly 4 (falling back to a cross-component pair when no finite
-    pair exists), then sweep the unassigned vertices in index order:
+    Start from the closed neighborhoods of the first vertex pair at
+    distance exactly 4 (falling back to the first cross-component pair
+    when no pair is at distance 4), then sweep the unassigned vertices
+    in index order:
 
     1. a vertex with some assigned-to-block-2 vertex at distance >= 3
        joins block 1;
@@ -858,14 +859,12 @@ def construct_AB_bipartition(p: Graph) -> Covering:
         raise PreconditionError(
             f"need diameter >= 4 and radius >= 3, got diameter={prof.diameter},"
             f" radius={prof.radius}")
-    dist = p.dist
     n = p.n
-    pair = next(((u, v) for u in range(n) for v in range(u + 1, n)
-                 if dist[u][v] == 4), None)
-    if pair is None:
-        pair = next((u, v) for u in range(n) for v in range(u + 1, n)
-                    if dist[u][v] is INF)
-    x, y = pair
+    seed = [ls[4] if len(ls) > 4 else 0 for ls in p.layers]
+    if not any(seed):
+        seed = [p.full_mask & ~sum(ls) for ls in p.layers]
+    x = next(u for u in range(n) if seed[u] >> u + 1)
+    y = next(v for v in bits(seed[x]) if v > x)
     p1 = p.closed_masks[x]
     p2 = p.closed_masks[y]
     far3 = p.far_masks(3)
@@ -984,10 +983,11 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     cov_{AA''B''} = 2 needs diameter >= 4, radius >= 3 and (at diameter
     exactly 4) a vertex triple with empty common 2-ball intersection.
     These are the rows of ``TWO_BLOCK_FACTS``.  Everything left over goes
-    to the bounded decision procedure, tried at k = 2, 3 and kappa; what
-    it cannot settle is reported UNKNOWN with the bound in force and
-    whether that bound (``stop="vertex-bound"``) or the end of those
-    block counts (``stop="ladder"``) stopped it.
+    to the bounded decision procedure, tried at k = 2, 3 and kappa; kappa
+    = n is settled by the singletons.  What it cannot settle is reported
+    UNKNOWN with the bound in force and whether that bound
+    (``stop="vertex-bound"``) or the end of those block counts
+    (``stop="ladder"``) stopped it.
     """
     res_a = cov_A(p)
     if not res_a.found:
@@ -1001,12 +1001,12 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     def settle(key: str, lo: int, shortcut: str | None) -> CovSizeResult:
         conds = PROFILE_CONDS[key]
         lo = max(lo, kappa)
-        if kappa == n:
+        if kappa == n:      # singletons meet every condition set at radius >= 2
             wit = singleton_witness(p, key)
-            if covering_passes(wit, conds):
-                return CovSizeResult(key, n, wit, "shortcut-singletons")
-        ks = sorted({k for k in (2, 3) if k >= lo} | ({kappa} if kappa > 3 else set()))
-        ks = [k for k in ks if k >= lo]
+            if not covering_passes(wit, conds):
+                raise InternalCheckError(f"singleton witness failed its {key} re-check")
+            return CovSizeResult(key, n, wit, "shortcut-singletons")
+        ks = range(lo, max(lo, 3) + 1)
         method = shortcut or "decide-k"
         for k in ks:
             try:
@@ -1020,7 +1020,7 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
                                      "decide-k" if shortcut is None else
                                      f"{shortcut}+decide-k")
             lo = k + 1
-        unknown = Unknown(lo, n, decide_bound(max(ks, default=3), bound), "ladder")
+        unknown = Unknown(lo, n, decide_bound(max(ks), bound), "ladder")
         return CovSizeResult(key, unknown, None, method)
 
     for key in PROFILE_KEYS[1:]:

@@ -257,11 +257,6 @@ class MetricProfile:
     diameter: Dist
 
 
-def distance_matrix(g: Graph) -> tuple[tuple[Dist, ...], ...]:
-    """All-pairs distances; symmetric, zero diagonal, inf across components."""
-    return g.dist
-
-
 def metric_profile(g: Graph) -> MetricProfile:
     """Eccentricities with radius (min) and diameter (max).
 
@@ -270,29 +265,6 @@ def metric_profile(g: Graph) -> MetricProfile:
     """
     ecc = g.ecc
     return MetricProfile(ecc=ecc, radius=min(ecc), diameter=max(ecc))
-
-
-def set_distance(g: Graph, sources: Iterable[int], target: int) -> Dist:
-    """d(S, v): minimum distance from any vertex of S to v; inf for S empty."""
-    row = g.dist
-    best: Dist = INF
-    for s in sources:
-        d = row[s][target]
-        if d < best:
-            best = d
-    return best
-
-
-def set_set_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> Dist:
-    """d(A, B): minimum pairwise distance; inf when either side is empty."""
-    bl = list(b)
-    best: Dist = INF
-    for u in a:
-        row = g.dist[u]
-        for v in bl:
-            if row[v] < best:
-                best = row[v]
-    return best
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -13,7 +13,7 @@ from ucgkit import (INFEASIBLE, BoundExceededError, Covering, Graph,
                     decide_cover_k, gen_P_alpha, gen_prism,
                     iter_covering_witnesses, singleton_covering,
                     two_ball_triple_check)
-from ucgkit.coverings import PROFILE_CONDS, _pattern_tables
+from ucgkit.coverings import PROFILE_CONDS, _pattern_tables, singleton_witness
 
 
 def cover(g, *blocks):
@@ -498,6 +498,18 @@ class TestBipartition:
         c = construct_AB_bipartition(Graph.empty(2))
         assert [sorted(b) for b in c.blocks] == [[0], [1]]
 
+    # seed pairs other than (0, 1): a distance-4 pair; the first
+    # cross-component pair when no vertex has a layer 4; a distance-4
+    # pair (1, 5) over the earlier cross-component pair (0, 1)
+    @pytest.mark.parametrize("parts,blocks", [
+        ((Graph.path(5), Graph.empty(1)), [[0, 1, 2], [3, 4, 5]]),
+        ((Graph.cycle(6), Graph.empty(1)), [[0, 1, 2, 3, 4, 5], [6]]),
+        ((Graph.empty(1), Graph.path(6)), [[0, 1, 2, 3], [4, 5, 6]]),
+    ], ids=["p5+k1", "c6+k1", "k1+p6"])
+    def test_seed_pair(self, parts, blocks):
+        c = construct_AB_bipartition(Graph.disjoint_union(parts))
+        assert [sorted(b) for b in c.blocks] == blocks
+
     def test_radius_two_rejected(self):
         with pytest.raises(PreconditionError):
             construct_AB_bipartition(Graph.path(5))
@@ -576,6 +588,13 @@ class TestProfile:
         assert prof["AB"].value == 4
         assert prof["AA''B''"].value == 4
         assert prof["AB"].method == "shortcut-singletons"
+
+    def test_singletons_meet_every_profile_key_at_radius_two(self, atlas_r2):
+        # what makes hi = n a sound upper bound of every Unknown
+        for g in atlas_r2:
+            for key, conds in PROFILE_CONDS.items():
+                assert U.covering_passes(singleton_witness(g, key), conds), (g.edges, key)
+        assert len(atlas_r2) * len(PROFILE_CONDS) == 4172
 
     def test_witnesses_reverified(self):
         for g in [Graph.empty(2), Graph.path(7), Graph.cycle(7)]:

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ucgkit import (INF, Graph, distance_matrix, eccentric_set,
-                    induced_subgraph, metric_profile, set_distance,
-                    set_set_distance, ucg_analysis)
+from ucgkit import (INF, Graph, eccentric_set, induced_subgraph,
+                    metric_profile, ucg_analysis)
 from ucgkit.graphs import bfs_layers
 
 
@@ -69,7 +68,7 @@ class TestDistances:
 
     def test_matrix_contract(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-        d = distance_matrix(g)
+        d = g.dist
         for u in range(5):
             assert d[u][u] == 0
             for v in range(5):
@@ -79,7 +78,7 @@ class TestDistances:
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy())
     def test_distances_match_floyd_warshall(self, g):
-        d = distance_matrix(g)
+        d = g.dist
         ref = oracles.floyd_distances(g)
         for u in range(g.n):
             for v in range(g.n):
@@ -194,16 +193,6 @@ class TestMetricProfile:
 
 
 class TestSetDistances:
-    def test_empty_source_is_infinite(self):
-        g = Graph.path(3)
-        assert set_distance(g, (), 1) == INF
-        assert set_set_distance(g, (), (0, 1)) == INF
-
-    def test_min_over_sources(self):
-        g = Graph.path(4)
-        assert set_distance(g, (0, 3), 2) == 1
-        assert set_set_distance(g, (0,), (2, 3)) == 2
-
     def test_infinity_absorbs_thresholds(self):
         assert INF >= 2 and INF >= 3 and INF >= 4
         assert INF + 1 == INF
