@@ -10,19 +10,24 @@ has the same eccentric set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Mapping
 
 from .coverings import Covering
 from .errors import NotSpanningSubgraphError, NotUcgError, RadiusTooSmallError
-from .graphs import (INF, Dist, Graph, bfs_layers, bits, induced_subgraph, mask_of,
-                     metric_profile)
+from .graphs import INF, Dist, Graph, bfs_layers, bits, induced_subgraph, metric_profile
 
 
 @dataclass(frozen=True)
 class UcgAnalysis:
     """Everything the package needs to know about one graph's center.
+
+    The analysis holds masks: ``center_mask``, ``cp_mask`` (the centered
+    periphery) and ``ec_masks``, the eccentric sets of the central
+    vertices in increasing vertex order.  The vertex-set views
+    ``center``, ``centered_periphery``, ``intermediate``, ``ec_map`` and
+    ``strata`` are built from them the first time they are read.
 
     ``strata`` lists the sets at distance 0, 1, .., r from the center;
     for a disconnected graph the analysis degenerates by convention: all
@@ -30,14 +35,38 @@ class UcgAnalysis:
     collapse to a single class and the graph is not a UCG.
     """
 
-    center: frozenset[int]
-    ec_map: Mapping[int, frozenset[int]]
-    centered_periphery: frozenset[int]
-    intermediate: frozenset[int]
-    strata: tuple[frozenset[int], ...]
+    graph: Graph
+    center_mask: int
+    cp_mask: int
+    ec_masks: tuple[int, ...]
     is_ucg: bool
     radius: Dist
     diameter: Dist
+
+    @cached_property
+    def center(self) -> frozenset[int]:
+        return frozenset(bits(self.center_mask))
+
+    @cached_property
+    def centered_periphery(self) -> frozenset[int]:
+        return frozenset(bits(self.cp_mask))
+
+    @cached_property
+    def intermediate(self) -> frozenset[int]:
+        return frozenset(bits(self.graph.full_mask & ~(self.center_mask | self.cp_mask)))
+
+    @cached_property
+    def ec_map(self) -> Mapping[int, frozenset[int]]:
+        return {z: frozenset(bits(m)) for z, m in zip(bits(self.center_mask), self.ec_masks)}
+
+    @cached_property
+    def strata(self) -> tuple[frozenset[int], ...]:
+        if self.radius is INF:
+            return (frozenset(range(self.graph.n)),)
+        # the strata run to the radius even when the last ones are empty
+        layers = bfs_layers(self.graph.adj_masks, self.center_mask)[0]
+        layers += [0] * (int(self.radius) + 1 - len(layers))
+        return tuple(frozenset(bits(m)) for m in layers)
 
 
 def eccentric_set(g: Graph, v: int) -> frozenset[int]:
@@ -47,22 +76,16 @@ def eccentric_set(g: Graph, v: int) -> frozenset[int]:
 
 def ucg_analysis(g: Graph) -> UcgAnalysis:
     prof = metric_profile(g)
-    central = [v for v in range(g.n) if g.ecc[v] == prof.radius]
-    ec_masks = [g.ecc_masks[z] for z in central]
-    center_mask, cp_mask = mask_of(central), reduce(or_, ec_masks)
-    if prof.radius is not INF:
-        # the strata run to the radius even when the last ones are empty
-        layers = bfs_layers(g.adj_masks, center_mask)[0]
-        layers += [0] * (int(prof.radius) + 1 - len(layers))
-        strata = tuple(frozenset(bits(m)) for m in layers)
-    else:
-        strata = (frozenset(range(g.n)),)
+    center_mask, ec_masks = 0, []
+    for v, (e, m) in enumerate(zip(prof.ecc, g.ecc_masks)):
+        if e == prof.radius:
+            center_mask |= 1 << v
+            ec_masks.append(m)
     return UcgAnalysis(
-        center=frozenset(central),
-        ec_map={z: frozenset(bits(m)) for z, m in zip(central, ec_masks)},
-        centered_periphery=frozenset(bits(cp_mask)),
-        intermediate=frozenset(bits(g.full_mask & ~(center_mask | cp_mask))),
-        strata=strata,
+        graph=g,
+        center_mask=center_mask,
+        cp_mask=reduce(or_, ec_masks),
+        ec_masks=tuple(ec_masks),
         # a disconnected graph has every vertex central, each missing just
         # the components it is not in, so the eccentric sets differ
         is_ucg=len(set(ec_masks)) == 1,
@@ -103,11 +126,10 @@ def induced_covering(h: Graph, analysis: UcgAnalysis | None = None) -> InducedCo
     if a.radius <= 1:
         raise RadiusTooSmallError(f"need radius >= 2, got {a.radius}")
     r = int(a.radius)
-    cp = mask_of(a.centered_periphery)
     d1 = []
     blocks = []
     for x in sorted(a.strata[1]):
-        blk = frozenset(bits(h.layers[x][r - 1] & cp))
+        blk = frozenset(bits(h.layers[x][r - 1] & a.cp_mask))
         if blk:
             d1.append(x)
             blocks.append(blk)

@@ -9,17 +9,19 @@ set is infinite, and every ``distance >= t`` threshold is met by infinity.
 A graph stores its adjacency as one bitmask per vertex and nothing else.
 Every metric quantity comes from one kernel, ``bfs_layers``, which grows
 the disjoint distance layers of a source set over those masks.  The
-per-vertex layers are computed once and cached on the instance; the
-distance matrix, eccentricities, eccentric sets and balls are read off
-them.  Graphs are immutable, so the caches can never go stale.
+per-vertex layers and reach masks are computed once and cached on the
+instance; eccentricities, eccentric sets and balls are read off them as
+masks.  The distance matrix is a view of the layers that builds a row
+only when the row is read.  Graphs are immutable, so the caches can never
+go stale.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
 
@@ -156,37 +158,42 @@ class Graph:
         return self.__dict__["layers"]
 
     @cached_property
-    def dist(self) -> tuple[tuple[Dist, ...], ...]:
-        """All-pairs distance matrix from one kernel call per vertex.
+    def reach_masks(self) -> tuple[int, ...]:
+        """Per vertex v, the mask of the vertices v reaches (the union of
+        its layers); ``dist`` computes them with the layers."""
+        self.dist
+        return self.__dict__["reach_masks"]
+
+    @cached_property
+    def dist(self) -> DistanceRows:
+        """The distance matrix, as rows read off the layers on demand.
 
         The all-pairs search happens here, once per graph, so that timing
-        ``dist`` times the distance kernel (``perfbench`` traces it); its
-        layers are kept as ``layers``, which every other metric reads.
+        ``dist`` times the distance kernel (``perfbench`` traces it): one
+        kernel call per vertex, whose layers and reach are kept as
+        ``layers`` and ``reach_masks``, which every other metric reads.
+        No row is filled until it is indexed.
         """
-        layers = tuple(tuple(bfs_layers(self.adj_masks, 1 << v)[0]) for v in range(self.n))
-        self.__dict__["layers"] = layers
-        rows = []
-        for ls in layers:
-            row: list[Dist] = [INF] * self.n
-            for d, layer in enumerate(ls):
-                for u in bits(layer):
-                    row[u] = d
-            rows.append(tuple(row))
-        return tuple(rows)
+        runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(self.n)]
+        layers = self.__dict__["layers"] = tuple(tuple(ls) for ls, _ in runs)
+        self.__dict__["reach_masks"] = tuple(seen for _, seen in runs)
+        return DistanceRows(layers)
 
     @cached_property
     def ecc(self) -> tuple[Dist, ...]:
         """Eccentricities; a vertex that misses some vertex has infinite
-        eccentricity (the layers are disjoint, so their sum is their union)."""
+        eccentricity."""
         full = self.full_mask
-        return tuple(len(ls) - 1 if sum(ls) == full else INF for ls in self.layers)
+        return tuple(len(ls) - 1 if seen == full else INF
+                     for ls, seen in zip(self.layers, self.reach_masks))
 
     @cached_property
     def ecc_masks(self) -> tuple[int, ...]:
         """Per vertex, the mask of its eccentric set: the last layer, or
         the unreachable vertices when the eccentricity is infinite."""
         full = self.full_mask
-        return tuple(ls[-1] if sum(ls) == full else full & ~sum(ls) for ls in self.layers)
+        return tuple(ls[-1] if seen == full else full & ~seen
+                     for ls, seen in zip(self.layers, self.reach_masks))
 
     def ball_masks(self, t: int) -> tuple[int, ...]:
         """Masks of the closed t-neighborhoods N_t[v]: the union of the
@@ -221,6 +228,31 @@ class Graph:
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels else str(v)
+
+
+class DistanceRows(Sequence):
+    """A read-only distance matrix: row v is the tuple of distances from v,
+    each an ``int`` or ``INF``, built from v's layers the first time it
+    is read and kept."""
+
+    __slots__ = ("_layers", "_rows")
+
+    def __init__(self, layers: Sequence[Sequence[int]]):
+        self._layers = layers
+        self._rows: list[tuple[Dist, ...] | None] = [None] * len(layers)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, v: int) -> tuple[Dist, ...]:
+        row = self._rows[v]
+        if row is None:
+            cells: list[Dist] = [INF] * len(self._rows)
+            for d, layer in enumerate(self._layers[v]):
+                for u in bits(layer):
+                    cells[u] = d
+            row = self._rows[v] = tuple(cells)
+        return row
 
 
 def bfs_layers(adj_masks: Sequence[int], sources_mask: int) -> tuple[list[int], int]:

@@ -27,7 +27,7 @@ from typing import Iterable
 from .analysis import ucg_analysis
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError, InvalidDropError
-from .graphs import Dist, Graph, bits
+from .graphs import Dist, Graph, bits, mask_of
 
 CENTER = "center"
 PERIPHERY = "periphery"
@@ -189,21 +189,22 @@ def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:
 
     ``center_matches`` demands the computed center equal the center-tagged
     vertices and the induced edges there equal c's; likewise for the
-    periphery.  The intermediate count comes from the fresh analysis.
+    periphery.  The intermediate count comes from the fresh analysis: the
+    vertices in neither the center nor the centered periphery.  Only the
+    analysis's masks are compared, so no vertex-set view is built.
     """
-    a = ucg_analysis(s.graph)
+    g = s.graph
+    a = ucg_analysis(g)
     ctr = s.center_vertices
     per = s.periphery_vertices
-    center_matches = (a.center == frozenset(ctr)
-                      and _induced_equals(s.graph, ctr, c))
-    periphery_matches = (a.centered_periphery == frozenset(per)
-                         and _induced_equals(s.graph, per, p))
+    center_matches = a.center_mask == mask_of(ctr) and _induced_equals(g, ctr, c)
+    periphery_matches = a.cp_mask == mask_of(per) and _induced_equals(g, per, p)
     return VerificationReport(
         is_ucg=a.is_ucg,
         center_matches=center_matches,
         periphery_matches=periphery_matches,
         radius=a.radius,
-        intermediate_count=len(a.intermediate),
+        intermediate_count=g.n - (a.center_mask | a.cp_mask).bit_count(),
     )
 
 

@@ -240,3 +240,36 @@ def ucg_host_accepts(g: Graph, nc: int, np_: int) -> bool:
     return (all(ecc[v] == r and {u for u in range(g.n) if d[v, u] == r} == block
                 for v in range(nc))
             and all(ecc[v] > r for v in range(nc, g.n)))
+
+
+# --- witness verification -------------------------------------------------------
+
+def verification_report(g: Graph, roles, c: Graph, p: Graph) -> dict:
+    """The five fields of a ``VerificationReport`` for the graph ``g``
+    whose vertex v plays ``roles[v]``, computed from scratch on plain
+    sets: the center is the set of least-eccentric vertices, the centered
+    periphery is the union of their eccentric sets, the graph is uniform
+    central when those eccentric sets all equal it, and a role-tagged
+    block matches when it is that set and its induced edges, renumbered
+    in vertex order, are the intended graph's."""
+    d = floyd_distances(g)
+    ecc = eccentricities(g)
+    vs = set(range(g.n))
+    r = min(ecc)
+    center = {v for v in vs if ecc[v] == r}
+    ec = {z: {u for u in vs if d[z, u] == r} for z in center}
+    cp = set().union(*ec.values())
+    edges = set(g.edges)
+
+    def matches(found, role, target):
+        tagged = [v for v in sorted(vs) if roles[v] == role]
+        induced = {(i, j) for i, u in enumerate(tagged) for j, w in enumerate(tagged)
+                   if i < j and (u, w) in edges}
+        return (found == set(tagged) and len(tagged) == target.n
+                and induced == set(target.edges))
+
+    return {"is_ucg": all(ec[z] == cp for z in center),
+            "center_matches": matches(center, "center", c),
+            "periphery_matches": matches(cp, "periphery", p),
+            "radius": r,
+            "intermediate_count": len(vs - center - cp)}

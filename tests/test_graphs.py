@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ucgkit import (INF, Graph, eccentric_set, induced_subgraph,
                     metric_profile, ucg_analysis)
-from ucgkit.graphs import bfs_layers
+from ucgkit.graphs import bfs_layers, bits
 
 
 def random_graph_strategy(max_n=8):
@@ -161,6 +161,16 @@ class TestLayerKernelAgainstFloyd:
             assert a.strata == tuple({v for v in vs if to_center[v] == m}
                                      for m in range(int(r) + 1))
             assert a.is_ucg == all(ec[z] == cp for z in center)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_graphs)
+    def test_ucg_analysis_masks_match_views(self, g):
+        a = ucg_analysis(g)
+        assert a.center == frozenset(bits(a.center_mask))
+        assert a.centered_periphery == frozenset(bits(a.cp_mask))
+        assert a.intermediate == frozenset(bits(g.full_mask & ~(a.center_mask | a.cp_mask)))
+        assert a.ec_map == {z: frozenset(bits(m)) for z, m in zip(sorted(a.center), a.ec_masks)}
+        assert a.strata[0] == a.center
 
 
 class TestMetricProfile:

@@ -1,14 +1,19 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import ucgkit as U
 from ucgkit import (Covering, DomainError, Graph, InvalidDropError,
                     RefinedCovering, build_cone, build_refined_scaffold,
                     build_scaffold, check_A, check_AdpBdp, check_Aprime,
                     check_B, check_Bprime, encode_graph6,
                     verify_construction)
+from ucgkit import analysis, scaffolds
+from ucgkit.graphs import bits
 
 
 def two_k1_cover():
@@ -252,3 +257,91 @@ class TestConstructionLawsSmall:
         res = U.appendage_number(k2, g)
         assert res.value == 2
         assert verify_construction(res.witness, k2, g).ok
+
+
+CENTERS = (Graph(1), Graph.complete(2), Graph.path(3), Graph.empty(2))
+
+
+@st.composite
+def scaffold_cases(draw):
+    """(scaffold, c, p): a scaffold built over a random covering, or a
+    random refinement of one, of a random small periphery (often with
+    several components), or the cone over that periphery.  The covering
+    is random, or made of the far sets V - N[v], which meet condition A,
+    so that many scaffolds verify.  Half the time c is the center built;
+    otherwise it is drawn from the same centers, so it may not match."""
+    n = draw(st.integers(1, 5), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = Graph(n, sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+    builder = draw(st.sampled_from(("layered", "refined", "cone")), label="builder")
+    c = draw(st.sampled_from(CENTERS), label="center")
+    claimed = c if draw(st.booleans(), label="as built") else draw(st.sampled_from(CENTERS))
+    if builder == "cone":
+        return build_cone(p), claimed, p
+    far = {frozenset(bits(p.full_mask & ~m)) for m in p.closed_masks} - {frozenset()}
+    if draw(st.booleans(), label="far blocks") and far and frozenset().union(*far) == set(range(n)):
+        blocks = tuple(sorted(far, key=sorted))
+    else:
+        k = draw(st.integers(1, 3), label="k")
+        patterns = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n, max_size=n))
+        blocks = tuple(frozenset(v for v in range(n) if patterns[v] >> i & 1)
+                       for i in range(k))
+    cov = Covering(p, tuple(b for b in blocks if b))
+    if builder == "layered":
+        rho = draw(st.integers(1, 3), label="rho")
+        drop = draw(st.sets(st.integers(1, rho)), label="drop")
+        return build_scaffold(c, p, cov, rho, drop), claimed, p
+    iota = draw(st.integers(0, cov.k - 1), label="iota")
+    block = sorted(cov.blocks[iota])
+    sides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(block),
+                          max_size=len(block)), label="split")
+    q0 = frozenset(v for v, x in zip(block, sides) if x & 1) or frozenset(block[:1])
+    q1 = frozenset(v for v, x in zip(block, sides) if x & 2)
+    rc = RefinedCovering(cov, iota, q0, q1)
+    return build_refined_scaffold(c, p, rc), claimed, p
+
+
+class TestVerifyAgainstLiteral:
+    @settings(max_examples=300, deadline=None)
+    @given(scaffold_cases())
+    def test_report_matches_literal_verification(self, case):
+        s, c, p = case
+        rep = verify_construction(s, c, p)
+        assert dataclasses.asdict(rep) == oracles.verification_report(s.graph, s.roles, c, p)
+
+
+class TestLazyViews:
+    """Verification compares masks: it runs the distance kernel but reads
+    no distance row and builds no vertex-set view of the analysis."""
+
+    VIEWS = {"center", "centered_periphery", "intermediate", "ec_map", "strata"}
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        """Every analysis ``verify_construction`` makes while the test runs."""
+        seen = []
+
+        def record(g):
+            seen.append(analysis.ucg_analysis(g))
+            return seen[-1]
+
+        monkeypatch.setattr(scaffolds, "ucg_analysis", record)
+        return seen
+
+    def built(self, a):
+        """The distance rows of the analyzed graph and the views of the
+        analysis that have been built."""
+        rows = [v for v, row in enumerate(a.graph.dist._rows) if row is not None]
+        return rows, set(vars(a)) & self.VIEWS
+
+    def test_verify_builds_no_row_and_no_view(self, analyses, k2):
+        p, cov = two_k1_cover()
+        s = build_scaffold(k2, p, cov, 2)
+        assert verify_construction(s, k2, p).ok
+        assert [a.graph for a in analyses] == [s.graph]
+        assert self.built(analyses[0]) == ([], set())
+
+    def test_appendage_number_builds_no_row_and_no_view(self, analyses, k2):
+        assert U.appendage_number(k2, U.named_graph("2k2")).value == 2
+        assert analyses
+        assert all(self.built(a) == ([], set()) for a in analyses)

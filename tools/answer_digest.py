@@ -16,11 +16,15 @@ byte-identical answers, witnesses included.  The corpus is
 * the one-sided variants: ``appendage_center_only(C)`` and then
   ``appendage_periphery_only(P)``, each over every atlas graph and every
   fixture;
-* last, ``brute_force_appendage(C, P, t_max)`` on the acceptance suite's
+* ``brute_force_appendage(C, P, t_max)`` on the acceptance suite's
   oracle corpus and on (p3, 2k1), each at the largest t_max the default
   bound of 24 free edges admits, then on (k2, p4, 3), (k2, c5, 2),
   (k2, p5, 2) and (p3, p4, 2) under a bound of 30, which their records
-  carry as ``"bound"``.
+  carry as ``"bound"``;
+* last, ``ucg_analysis(G)`` over every atlas graph and every fixture:
+  radius, diameter, the UCG test, center, centered periphery,
+  intermediate vertices, strata and eccentric-set map, serialized as the
+  ``analyze`` command serializes them.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -36,7 +40,9 @@ import json
 import sys
 
 import ucgkit as U
+from ucgkit.cli import _vertices
 from ucgkit.coverings import PROFILE_CONDS
+from ucgkit.graphs import json_number
 
 CENTERS = {"k2": U.Graph.complete(2), "p3": U.Graph.path(3), "2k1": U.Graph.empty(2)}
 PRISMS = range(3, 8)
@@ -107,6 +113,15 @@ def answers(max_n: int):
         kw = {} if bound is None else {"bound": bound}
         yield {"op": "oracle", "center": ctok, "graph": ptok, "t_max": tmax, **kw,
                "answer": U.brute_force_appendage(c, p, tmax, **kw)}
+    for name, g in atlas + fixtures:
+        a = U.ucg_analysis(g)
+        yield {"op": "analyze", "graph": name, "answer": {
+            "radius": json_number(a.radius), "diameter": json_number(a.diameter),
+            "is_ucg": a.is_ucg, "center": _vertices(g, a.center),
+            "centered_periphery": _vertices(g, a.centered_periphery),
+            "intermediate": _vertices(g, a.intermediate),
+            "strata": [sorted(stratum) for stratum in a.strata],
+            "ec_map": {str(z): sorted(ec) for z, ec in a.ec_map.items()}}}
 
 
 def main(argv: list[str] | None = None) -> int:
