@@ -18,7 +18,8 @@ several condition sets:
   clause on the partial assignment wherever its violation is monotone
   (no later vertex can repair it), so a pruned subtree holds no witness
   and the order is kept; deciding, it skips every covering that is not
-  the least of its block permutations.
+  the least of its block permutations.  Its state is packed, k blocks
+  to an integer, so a search node costs a few whole-integer operations.
 * Diameter and radius facts settle many size-2 cases outright; they form
   one table, ``TWO_BLOCK_FACTS``, read by ``cov_profile`` and by the
   appendage engine.
@@ -585,6 +586,15 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
     only, since scaffolds built from permuted blocks are isomorphic with
     C and P fixed: the first covering whose construction verifies is
     still a leader, and a walked-out stream still means none verifies.
+
+    The block search state is packed, broadword style (Knuth, TAOCP 4A,
+    7.1.3): the blocks, their N[P_i] and their 2-balls are three integers
+    of k fields of n + 1 bits, the top bit of each field a guard.  Placing
+    v in a pattern is three ORs.  Which blocks miss a mask, which N[P_i]
+    or 2-balls are all of V, and which adjacent blocks are equal are each
+    read off one subtraction, which borrows through the guard of every
+    empty field and of no other; the rules look their patterns up in
+    tables keyed by the guard masks it leaves.
     """
     conds = frozenset(conds)
     witness = next(iter_covering_witnesses(p, k, conds, bound, orbit_leaders=True),
@@ -597,25 +607,49 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
 
 @functools.cache
 def _pattern_tables(k: int):
-    """The k-only tables of ``_decide_dfs``, over block-membership patterns
-    (bit i of a pattern: block i): each pattern's blocks; ``supersets[r]``,
-    the patterns holding every block of r, as a bit set; the nonempty
-    patterns; those without block 0; and ``swapped[i]``, those holding
-    block i + 1 but not block i."""
-    pats = range(1 << k)
-    members = tuple(tuple(i for i in range(k) if pat >> i & 1) for pat in pats)
-    # superset sums (a zeta pass over the k blocks), k * 2^k ORs
-    sup = [1 << r for r in pats]
+    """The k-only tables of ``_decide_dfs``, each a bit set of block-
+    membership patterns (bit i of a pattern: block i): ``holding[i]``,
+    the patterns holding block i; the nonempty patterns; those without
+    block 0; and ``swapped[i]``, those holding block i + 1 but not block i."""
+    every = (1 << (1 << k)) - 1
+    holding = tuple(mask_of(pat for pat in range(1 << k) if pat >> i & 1) for i in range(k))
+    swapped = tuple(holding[i + 1] & ~holding[i] for i in range(k - 1))
+    return holding, every - 1, every & ~holding[0], swapped
+
+
+class _Memo(dict):
+    """A table whose entry for ``key`` is ``make(key)``, built on first read."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        val = self[key] = self.make(key)
+        return val
+
+
+@functools.lru_cache(maxsize=64)
+def _packed_tables(n: int, k: int):
+    """The (n, k) tables of ``_decide_dfs``'s packed state: k fields of
+    w = n + 1 bits, block i in bits i*w .. i*w + n - 1 under a guard bit.
+    ``rep[pat]`` holds bit 0 of each field of pattern pat, so m * rep[pat]
+    puts mask m in each of them.  ``sup``, ``touch`` and ``swap`` are keyed
+    by guard masks naming block sets r, and filled on first read: the
+    patterns holding every block of r, those holding some block of r, and
+    ``swapped[i]`` ORed over i in r."""
+    w = n + 1
+    holding, nonempty, no_block0, swapped = _pattern_tables(k)
+    rep = [0]
     for i in range(k):
-        bit = 1 << i
-        for r in pats:
-            if not r & bit:
-                sup[r] |= sup[r | bit]
-    supersets = tuple(sup)
-    nonempty = (1 << (1 << k)) - 2
-    no_block0 = mask_of(pat for pat in pats if not pat & 1)
-    swapped = tuple(mask_of(pat for pat in pats if pat >> i & 3 == 2) for i in range(k - 1))
-    return members, supersets, nonempty, no_block0, swapped
+        rep += [r | 1 << i * w for r in rep]
+
+    def fold(op, table, start):
+        return _Memo(lambda g: functools.reduce(
+            op, (table[i] for i in range(k) if g >> i * w + n & 1), start))
+
+    return (w, rep, fold(int.__and__, holding, nonempty | 1), fold(int.__or__, holding, 0),
+            fold(int.__or__, swapped, 0), nonempty, no_block0)
 
 
 def _decide_dfs(host: Graph, k: int, conds: frozenset, leaders: bool):
@@ -639,106 +673,144 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, leaders: bool):
     for v in reversed(range(n)):
         later |= last4[v]
         settled4[v] = full & ~later
-    members, supersets, nonempty, no_block0, swapped = _pattern_tables(k)
+    # The state is three integers of k fields (``_packed_tables``): B
+    # holds the blocks P_i, N1 their closed neighborhoods N[P_i] and N2
+    # their 2-balls.  G ^ ((x | G) - O) & G keeps the guards of the empty
+    # fields of x, as a field borrows through its guard only when empty:
+    # for x = B & O * m, the blocks missing m.  Rules name block sets by
+    # such guard masks.
+    w, rep, sup, touch, swap, nonempty, no_block0 = _packed_tables(n, k)
+    O = rep[-1]
+    G = O << n
+    every = G | full * O        # every ^ y leaves the full fields of y empty
+    c1, f3 = [O * m for m in closed], [O * m for m in far3]
+    shifts = range(0, k * w, w)
     # orbit leaders: while blocks i and i + 1 (both past the split block
-    # when refined) are equal, v may not join block i + 1 without block i
-    sym = range(1 if refine else 0, k - 1) if leaders else ()
-
-    def missing(bl: tuple[int, ...], m: int) -> int:
-        out = 0
-        for i, b in enumerate(bl):
-            if not b & m:
-                out |= 1 << i
-        return out
-
-    def cuts(v: int, bl: tuple[int, ...], nb1: tuple[int, ...],
-             nb2: tuple[int, ...]) -> int:
-        # the patterns v may not take, mostly as block sets R in ``out``
-        # such that placing v in every block of R (and maybe others)
-        # violates a clause for good; the state before v violates none,
-        # so a clause v cannot touch needs no rule
-        vb, cv, bv = 1 << v, closed[v], ball2[v]
-        out = []
-        dead = 0
-        if need_a:      # N[P_i] becomes V
-            out += [1 << i for i in range(k) if nb1[i] | cv == full]
-        if need_ap:     # the 2-ball of P_i is V and N[P_i] meets every block
-            for i in range(k):
-                if nb2[i] | bv == full:
-                    out.append(missing(bl, nb1[i] | cv) | 1 << i)
-                if nb2[i] == full and nb1[i] & vb:
-                    out.append(missing(bl, nb1[i]))
-        # B' fails at u once N[u] meets every block; B fails once, besides,
-        # a block of u holds far3[u] (so a B' rule covers B).  Placing v
-        # changes these only for u in N[v], or for B in far3[v] too.
-        placed = (vb << 1) - 1
-        if need_bp:
-            out += [missing(bl, closed[u]) for u in bits(placed & cv)]
-        elif need_b:
-            for u in bits(placed & (cv | far3[v])):
-                m, fu = missing(bl, closed[u]), far3[u]
-                if u == v:
-                    out += [m | 1 << i for i in range(k) if not fu & ~bl[i]]
-                elif cv >> u & 1:
-                    if any(b >> u & 1 and not fu & ~b for b in bl):
-                        out.append(m)
-                elif not m:
-                    out += [1 << i for i in range(k)
-                            if bl[i] >> u & 1 and fu & ~bl[i] == vb]
-        if need_2:      # B''-2 through every split
-            p0 = bl[0]
-            if settled4[v] >> v & 1 and not far4[v] & p0:              # (a)
-                out.append(missing(bl, cv) | 1)
-            for p in bits(p0 & last4[v]):                               # (b)
-                if not far4[p] & p0 and not missing(bl, closed[p]):
-                    dead = no_block0
-            for p in bits(p0 & cv & settled4[v]):                       # (c)
-                if not far4[p] & p0:
-                    out.append(missing(bl, closed[p]))
-        for r in out:
-            dead |= supersets[r]
-        return dead
-
+    # when refined) are equal, v may not join block i + 1 without block i;
+    # (B ^ B >> w) has field i empty then
+    sym = ((1 << k - 1) - 1) >> refine << refine if leaders else 0
+    s_one = rep[sym]
+    s_g = s_one << n
+    # the placed u whose B or B' state placing v can change: N[v], and for
+    # B far3[v] too
+    reach = far3 if need_b else closed
+    near = [list(bits(((2 << v) - 1) & (closed[v] | reach[v])))
+            for v in range(n)] if need_b or need_bp else ()
     plain = [_VIOLATIONS[c] for c in ("A", "A'", "B", "B'") if c in conds]
 
-    def leaf(bm: tuple[int, ...]):
-        if not all(_holds(violations(host, bm)) for violations in plain):
-            return
+    def leaf(B: int, N1: int, N2: int):
+        bm = tuple(B >> s & full for s in shifts)
+        for violations in plain:
+            if not _holds(violations(host, bm)):
+                return
         if not refine:
             yield bm, None
             return
-        for split in _split_dfs(host, bm, conds, geo):
+        nb1 = tuple(N1 >> s & full for s in shifts)
+        nb2 = tuple(N2 >> s & full for s in shifts)
+        for split in _split_dfs(host, bm, nb1, nb2, conds, geo):
             yield bm, split
 
-    def rec(v: int, bl: tuple[int, ...], nb1: tuple[int, ...], nb2: tuple[int, ...]):
+    def rec(v: int, B: int, N1: int, N2: int):
         if v == n:
             # blocks may overlap, so one vertex left can still fill every
             # empty block: emptiness is only decided here
-            if all(bl):
-                yield from leaf(bl)
+            if not G ^ ((B | G) - O) & G:
+                yield from leaf(B, N1, N2)
             return
-        vb, cv, bv = 1 << v, closed[v], ball2[v]
-        dead = cuts(v, bl, nb1, nb2)
-        for i in sym:
-            if bl[i] == bl[i + 1]:
-                dead |= swapped[i]
-        for pat in bits(nonempty & ~dead):
-            cb, c1, c2 = list(bl), list(nb1), list(nb2)
-            for i in members[pat]:
-                cb[i] |= vb
-                c1[i] |= cv
-                c2[i] |= bv
-            yield from rec(v + 1, tuple(cb), tuple(c1), tuple(c2))
+        # the patterns v may not take: for each clause that placing v in
+        # every block of a set R (and maybe others) violates for good,
+        # the supersets of R; the state before v violates none, so a
+        # clause v cannot touch needs no rule
+        cv = closed[v]
+        dead = 0
+        if need_a:      # N[P_i] becomes V
+            g = G ^ ((every ^ (N1 | c1[v])) - O) & G
+            if g:
+                dead |= touch[g]
+        if need_ap:     # the 2-ball of P_i is V and N[P_i] meets every block
+            g = G ^ ((every ^ (N2 | O * ball2[v])) - O) & G
+            while g:
+                hb = g & -g
+                g ^= hb
+                x = B & O * (N1 >> hb.bit_length() - 1 - n & full | cv)
+                dead |= sup[(G ^ ((x | G) - O) & G) | hb]
+            g = (G ^ ((every ^ N2) - O) & G) & (N1 >> v & O) << n
+            while g:
+                hb = g & -g
+                g ^= hb
+                x = B & O * (N1 >> hb.bit_length() - 1 - n & full)
+                dead |= sup[G ^ ((x | G) - O) & G]
+        # B' fails at u once N[u] meets every block; B fails once, besides,
+        # a block of u holds far3[u] (so a B' rule covers B)
+        if need_bp:
+            for u in near[v]:
+                dead |= sup[G ^ ((B & c1[u] | G) - O) & G]
+        elif need_b:
+            for u in near[v]:
+                miss = G ^ ((B & c1[u] | G) - O) & G
+                # the blocks holding u and all of far3[u]
+                x = ~B & (f3[u] | O << u)
+                if u == v:      # the blocks already holding all of far3[v]
+                    g = G ^ ((~B & f3[u] | G) - O) & G
+                    while g:
+                        hb = g & -g
+                        g ^= hb
+                        dead |= sup[miss | hb]
+                elif cv >> u & 1:
+                    if G ^ ((x | G) - O) & G:
+                        dead |= sup[miss]
+                elif not miss:  # v is the last vertex of far3[u] outside
+                    g = G ^ ((x ^ O << v | G) - O) & G
+                    if g:
+                        dead |= touch[g]
+        if need_2:      # B''-2 through every split
+            p0 = B & full
+            if settled4[v] >> v & 1 and not far4[v] & p0:               # (a)
+                dead |= sup[(G ^ ((B & c1[v] | G) - O) & G) | 1 << n]
+            m = p0 & (last4[v] | cv & settled4[v])
+            while m:
+                low = m & -m
+                m ^= low
+                p = low.bit_length() - 1
+                if far4[p] & p0:
+                    continue
+                miss = G ^ ((B & c1[p] | G) - O) & G
+                if not last4[v] & low:                                  # (c)
+                    dead |= sup[miss]
+                elif not miss:                                          # (b)
+                    dead |= no_block0
+        if sym:
+            g = s_g ^ ((B ^ B >> w | s_g) - s_one) & s_g
+            if g:
+                dead |= swap[g]
+        free = nonempty & ~dead
+        bv = ball2[v]
+        while free:
+            low = free & -free
+            free ^= low
+            r = rep[low.bit_length() - 1]
+            yield from rec(v + 1, B | r << v, N1 | cv * r, N2 | bv * r)
 
-    empty = (0,) * k
-    return rec(0, empty, empty, empty)
+    return rec(0, 0, 0, 0)
 
 
-def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset, geo: tuple):
+def _pack(masks: Sequence[int], w: int) -> tuple[int, int]:
+    """``masks`` side by side in fields of w bits, and the field ones."""
+    packed = ones = 0
+    for i, m in enumerate(masks):
+        packed |= m << i * w
+        ones |= 1 << i * w
+    return packed, ones
+
+
+def _split_dfs(g: Graph, bm: tuple[int, ...], nb1: tuple[int, ...],
+               nb2: tuple[int, ...], conds: frozenset, geo: tuple):
     """The (Q0, Q1) splits of block 0 that pass the A''/B'' of ``conds``.
 
-    Q0 | Q1 is block 0 and its lowest vertex is pinned into Q0.  Vertices
-    are assigned in index order, each Q0-only, Q1-only or both (the lowest
+    ``nb1`` and ``nb2`` hold each block's N[P_i] and 2-ball.  Q0 | Q1 is
+    block 0 and its lowest vertex is pinned into Q0.  Vertices are
+    assigned in index order, each Q0-only, Q1-only or both (the lowest
     vertex skips Q1-only), so the splits come in lexicographic order of
     that pattern vector.  A subtree is cut as soon as a clause fails in a
     way no later vertex can repair; the splits reached are checked in full.
@@ -746,9 +818,14 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset, geo: tuple):
     """
     full, closed, ball2, _, far4 = geo
     p0, rest = bm[0], bm[1:]
-    vs = list(bits(p0))
+    n = g.n
+    vs = [x for x in range(n) if p0 >> x & 1]
     need_a, need_b = "A''" in conds, "B''" in conds
     outside = full & ~p0
+    # the siblings packed as in _decide_dfs: a mask c meets every sibling
+    # when no field of S & O * c is empty
+    S, O = _pack(rest, n + 1)
+    G = O << n
     # masks at most one side may meet: N[P_i] of a sibling failing A''-1a
     # and A''-1b (A''-1c is left), and N[p] of a sibling vertex failing
     # B''-1a and B''-1b (B''-1c and B''-1d both fail once Q0 and Q1 meet it)
@@ -756,31 +833,24 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset, geo: tuple):
     # vertices of block 0 failing B''-2a, which need B''-2b in their side
     need_2b = 0
     if need_a:
-        for m in rest:
-            nb = _union_ball(closed, m)
-            if _union_ball(ball2, m) == full and all(j & nb for j in rest):
-                one_side.append(nb)
+        for i in range(1, len(bm)):
+            if nb2[i] == full and not G ^ ((S & O * nb1[i] | G) - O) & G:
+                one_side.append(nb1[i])
     if need_b:
-        sib = 0
-        for m in rest:
-            sib |= m
-        for p in bits(sib):
-            if p0 & closed[p] and all(j & closed[p] for j in rest):
-                one_side.append(closed[p])
-        for p in vs:
-            if all(j & closed[p] for j in rest):
-                need_2b |= 1 << p
-
-    def side_bad(b2: int, c1: int) -> bool:
-        # A''-2a and A''-2b both fail for a side with these 2- and 1-balls
-        return not (outside & ~b2) and all(j & c1 for j in rest)
-
-    def lost_2b(p: int, q0: int, q1: int) -> bool:
-        # B''-2b fails for p in a side that holds far4[p] & P_0 or whose
-        # other side meets N[p]
-        fp, cp = far4[p] & p0, closed[p]
-        return bool((q0 >> p & 1 and (not fp & ~q0 or q1 & cp))
-                    or (q1 >> p & 1 and (not fp & ~q1 or q0 & cp)))
+        # N[p] meets P_i exactly when p is in N[P_i]
+        meet = full
+        for nb in nb1[1:]:
+            meet &= nb
+        need_2b = p0 & meet
+        m = functools.reduce(int.__or__, rest, 0) & nb1[0] & meet
+        while m:
+            low = m & -m
+            m ^= low
+            one_side.append(closed[low.bit_length() - 1])
+    # ... packed the same way: both sides meet one of them when the fields
+    # of T & U * Q_0 and of T & U * Q_1 are nonempty at the same guard
+    T, U = _pack(one_side, n + 1)
+    H = U << n
 
     def rec(t: int, q0: int, q1: int, b0: int, b1: int, c0: int, c1: int):
         if t == len(vs):
@@ -796,19 +866,31 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], conds: frozenset, geo: tuple):
         touched = need_2b & ((xb << 1) - 1) & (cx | far4[x])
         for pat in (1, 3) if t == 0 else (1, 2, 3):
             r0, r1, s0, s1, d0, d1 = q0, q1, b0, b1, c0, c1
+            # A''-2a and A''-2b both fail for a side whose 2-ball holds
+            # V \ P_0 and whose N[Q_l] meets every sibling
             if pat & 1:
                 r0, s0, d0 = r0 | xb, s0 | bx, d0 | cx
-                if need_a and side_bad(s0, d0):
+                if need_a and not outside & ~s0 and not G ^ ((S & O * d0 | G) - O) & G:
                     continue
             if pat & 2:
                 r1, s1, d1 = r1 | xb, s1 | bx, d1 | cx
-                if need_a and side_bad(s1, d1):
+                if need_a and not outside & ~s1 and not G ^ ((S & O * d1 | G) - O) & G:
                     continue
-            if any(r0 & m and r1 & m for m in one_side):
+            if H and ((T & U * r0 | H) - U) & ((T & U * r1 | H) - U) & H:
                 continue
-            if any(lost_2b(p, r0, r1) for p in bits(touched)):
-                continue
-            yield from rec(t + 1, r0, r1, s0, s1, d0, d1)
+            # B''-2b fails for p in a side that holds far4[p] & P_0 or
+            # whose other side meets N[p]
+            m = touched
+            while m:
+                low = m & -m
+                m ^= low
+                p = low.bit_length() - 1
+                fp, cp = far4[p] & p0, closed[p]
+                if (r0 & low and (not fp & ~r0 or r1 & cp)
+                        or r1 & low and (not fp & ~r1 or r0 & cp)):
+                    break
+            else:
+                yield from rec(t + 1, r0, r1, s0, s1, d0, d1)
 
     return rec(0, 0, 0, 0, 0, 0, 0)
 

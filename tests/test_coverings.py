@@ -13,7 +13,8 @@ from ucgkit import (INFEASIBLE, BoundExceededError, Covering, Graph,
                     decide_cover_k, gen_P_alpha, gen_prism,
                     iter_covering_witnesses, singleton_covering,
                     two_ball_triple_check)
-from ucgkit.coverings import PROFILE_CONDS, _pattern_tables, singleton_witness
+from ucgkit.coverings import (PROFILE_CONDS, _pack, _packed_tables, _pattern_tables,
+                              singleton_witness)
 
 
 def cover(g, *blocks):
@@ -275,12 +276,62 @@ class TestDecide:
         def bitset(keep):
             return sum(1 << pat for pat in pats if keep(pat))
 
-        members, supersets, nonempty, no_block0, swapped = _pattern_tables(k)
-        assert members == tuple(tuple(i for i in range(k) if pat >> i & 1) for pat in pats)
-        assert supersets == tuple(bitset(lambda pat: pat & r == r) for r in pats)
+        holding, nonempty, no_block0, swapped = _pattern_tables(k)
+        assert holding == tuple(bitset(lambda pat: pat >> i & 1) for i in range(k))
         assert nonempty == bitset(lambda pat: pat != 0)
         assert no_block0 == bitset(lambda pat: not pat & 1)
         assert swapped == tuple(bitset(lambda pat: pat >> i & 3 == 2) for i in range(k - 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_packed_state_matches_its_definition(self, data):
+        # the block search's packed state, with the cached (n, k) constants,
+        # against the per-block tuple it stands for, up to n = 30
+        n = data.draw(st.integers(1, 30), label="n")
+        k = data.draw(st.integers(1, 14), label="k")
+        full = (1 << n) - 1
+        masks = st.one_of(st.sampled_from([0, full]), st.integers(0, full))
+        bl = data.draw(st.lists(masks, min_size=k, max_size=k), label="blocks")
+        m = data.draw(masks, label="m")
+        pat = data.draw(st.integers(0, (1 << k) - 1), label="pattern")
+        w, rep = _packed_tables(n, k)[:2]
+        one = rep[-1]
+        guards = one << n
+        B, ones = _pack(bl, w)
+        assert (w, ones) == (n + 1, one)
+        assert [B >> i * w & full for i in range(k)] == bl
+        assert m * rep[pat] == sum(m << i * w for i in range(k) if pat >> i & 1)
+
+        def blocks(g):
+            return [i for i in range(k) if g >> i * w + n & 1]
+        # the zero-field test: the blocks missing m
+        missing = guards ^ ((B & one * m | guards) - one) & guards
+        assert missing & ~guards == 0
+        assert blocks(missing) == [i for i in range(k) if not bl[i] & m]
+        # the orbit-leader XOR-shift: the blocks equal to their successor
+        lo = data.draw(st.integers(0, 1), label="split block")
+        sym = ((1 << k - 1) - 1) >> lo << lo
+        s_one = rep[sym]
+        s_g = s_one << n
+        equal = s_g ^ ((B ^ B >> w | s_g) - s_one) & s_g
+        assert blocks(equal) == [i for i in range(lo, k - 1) if bl[i] == bl[i + 1]]
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (4, 2), (3, 4), (2, 6)])
+    def test_guard_keyed_tables_match_their_definition(self, n, k):
+        w, rep, sup, touch, swap, nonempty, no_block0 = _packed_tables(n, k)
+        pats = range(1 << k)
+
+        def bitset(keep):
+            return sum(1 << pat for pat in pats if keep(pat))
+
+        assert (nonempty, no_block0) == _pattern_tables(k)[1:3]
+        for r in pats:
+            g = rep[r] << n
+            assert sup[g] == bitset(lambda pat: pat & r == r)
+            assert touch[g] == bitset(lambda pat: pat & r)
+            if r >> k - 1 == 0:     # swap is read for blocks 0..k-2 only
+                assert swap[g] == bitset(lambda pat: any(
+                    r >> i & 1 and pat >> i & 3 == 2 for i in range(k - 1)))
 
     def test_refine_validation(self):
         g = Graph.cycle(5)
@@ -458,6 +509,16 @@ class TestOrbitLeaders:
         dec = decide_cover_k(g, 3, ("A'", "B'"))
         assert dec.value is INFEASIBLE and dec.method == "exhausted"
         assert next(iter_covering_witnesses(g, 3, ("A'", "B'")), None) is None
+
+    @pytest.mark.parametrize("m, k, key, length", [
+        (4, 3, "AB", 1472), (4, 3, "AA''B''", 32), (5, 2, "AB", 80),
+        (5, 3, "AA''B''", 1570), (6, 2, "AB", 1467)])
+    def test_prism_leader_stream_lengths(self, m, k, key, length):
+        # whole leader streams on 8 to 12 vertices, past the literal
+        # stream tests' n <= 5
+        stream = iter_covering_witnesses(gen_prism(m).graph, k, PROFILE_CONDS[key],
+                                         orbit_leaders=True)
+        assert sum(1 for _ in stream) == length
 
     def test_atlas_1035_refined_route(self, atlas_r2):
         # radius 2 on 7 vertices, kappa = 5: both A'B' and A' exhaust at

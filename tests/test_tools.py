@@ -24,11 +24,13 @@ def test_answer_digest_is_byte_stable():
     records = [json.loads(line) for line in first.splitlines()]
     # 10 atlas graphs with n <= 4 and radius >= 2 plus 6 fixtures, per
     # center; 18 atlas graphs plus the 6 fixtures profiled; no prism fits;
-    # the 6 fixtures again under the small bound, with k2 and p3; the 18
-    # atlas graphs and 6 fixtures as the one side of each one-sided variant;
-    # the 9 default-bound oracle cases, none over 4 vertices, and the 2
-    # bound-30 cases without c5 or p5; the 18 atlas graphs and 6 fixtures
-    # analyzed
+    # the leader-stream heads of those 16 graphs, at 2 block counts and 4
+    # condition sets; the 6 fixtures again under the small bound, with k2
+    # and p3; the 18 atlas graphs and 6 fixtures as the one side of each
+    # one-sided variant; the 9 default-bound oracle cases, none over 4
+    # vertices, and the 2 bound-30 cases without c5 or p5; the 18 atlas
+    # graphs and 6 fixtures analyzed
     assert Counter(r["op"] for r in records) == {
-        "append": 48, "profile": 24, "append-bounded": 12, "profile-bounded": 6,
-        "center-only": 24, "periphery-only": 24, "oracle": 11, "analyze": 24}
+        "append": 48, "profile": 24, "stream": 128, "append-bounded": 12,
+        "profile-bounded": 6, "center-only": 24, "periphery-only": 24, "oracle": 11,
+        "analyze": 24}

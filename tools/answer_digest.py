@@ -10,6 +10,10 @@ byte-identical answers, witnesses included.  The corpus is
   atlas graphs with n <= 6 and every fixture;
 * ``decide_cover_k`` on prism3..prism7 for k = 2..4 and each profile
   condition set past "A" (a bound error is printed as such);
+* the first five witnesses of ``iter_covering_witnesses(P, k, conds,
+  orbit_leaders=True)`` for k in {2, 3} and each profile condition set
+  past "A", over the atlas graphs with radius >= 2 and every fixture (a
+  bound error is printed as such);
 * ``appendage_number(C, P, bound=4)`` for C in {k2, p3} and
   ``cov_profile(P, bound=4)`` over every fixture, so that unsettled
   answers (``Unknown`` intervals with their stop causes) are compared too;
@@ -36,6 +40,7 @@ digest:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -48,6 +53,9 @@ CENTERS = {"k2": U.Graph.complete(2), "p3": U.Graph.path(3), "2k1": U.Graph.empt
 PRISMS = range(3, 8)
 DECIDE_KS = range(2, 5)
 PROFILE_MAX_N = 6
+STREAM_KS = (2, 3)
+#: Witnesses kept from the head of each stream.
+STREAM_HEAD = 5
 #: The vertex bound of the bounded sections, under which several fixtures
 #: stay unsettled.
 SMALL_BOUND = 4
@@ -94,6 +102,15 @@ def answers(max_n: int):
                     ans = {"error": "bound", "message": str(e)}
                 yield {"op": "decide", "graph": f"prism{m}", "k": k, "key": key,
                        "answer": ans}
+    for name, g in append_graphs:
+        for k in STREAM_KS:
+            for key, conds in PROFILE_CONDS.items():
+                stream = U.iter_covering_witnesses(g, k, conds, orbit_leaders=True)
+                try:
+                    ans = [w.to_json() for w in itertools.islice(stream, STREAM_HEAD)]
+                except U.BoundExceededError as e:
+                    ans = {"error": "bound", "message": str(e)}
+                yield {"op": "stream", "graph": name, "k": k, "key": key, "answer": ans}
     for name, g in fixtures:
         for cname in ("k2", "p3"):
             res = U.appendage_number(CENTERS[cname], g, bound=SMALL_BOUND)
