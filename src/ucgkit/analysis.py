@@ -16,7 +16,15 @@ from typing import Mapping
 
 from .coverings import Covering
 from .errors import NotSpanningSubgraphError, NotUcgError, RadiusTooSmallError
-from .graphs import INF, Dist, Graph, bfs_layers, bits, induced_subgraph, metric_profile
+from .graphs import (INF, Dist, Graph, bfs_layers, bits, induced_subgraph, json_number,
+                     metric_profile)
+
+
+def _vertices(g: Graph, vs) -> dict:
+    out = {"ids": sorted(vs)}
+    if g.labels:
+        out["labels"] = [g.label_of(v) for v in sorted(vs)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,19 @@ class UcgAnalysis:
         layers = bfs_layers(self.graph.adj_masks, self.center_mask)[0]
         layers += [0] * (int(self.radius) + 1 - len(layers))
         return tuple(frozenset(bits(m)) for m in layers)
+
+    def to_json(self) -> dict:
+        g = self.graph
+        return {
+            "radius": json_number(self.radius),
+            "diameter": json_number(self.diameter),
+            "is_ucg": self.is_ucg,
+            "center": _vertices(g, self.center),
+            "centered_periphery": _vertices(g, self.centered_periphery),
+            "intermediate": _vertices(g, self.intermediate),
+            "strata": [sorted(s) for s in self.strata],
+            "ec_map": {str(z): sorted(ec) for z, ec in self.ec_map.items()},
+        }
 
 
 def eccentric_set(g: Graph, v: int) -> frozenset[int]:

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import ucg_analysis
+from .analysis import _vertices, ucg_analysis
 from .appendage import (appendage_center_only, appendage_number,
                         appendage_periphery_only, brute_force_appendage,
                         DEFAULT_ORACLE_BOUND)
@@ -103,13 +103,6 @@ def _load_graph(inputs: dict, role: str, spec: str) -> Graph:
     return g
 
 
-def _vertices(g: Graph, vs) -> dict:
-    out = {"ids": sorted(vs)}
-    if g.labels:
-        out["labels"] = [g.label_of(v) for v in sorted(vs)]
-    return out
-
-
 def _parse_conditions(text: str) -> frozenset[str]:
     toks = [t.strip().lower() for t in text.split(",") if t.strip()]
     bad = [t for t in toks if t not in _COND_TOKENS]
@@ -149,18 +142,7 @@ def _cmd_analyze(args, inputs):
     g = _load_graph(inputs, "periphery", args.periphery)
     a = ucg_analysis(g)
     periphery = [v for v in range(g.n) if g.ecc[v] == a.diameter]
-    result = {
-        "n": g.n,
-        "radius": json_number(a.radius),
-        "diameter": json_number(a.diameter),
-        "is_ucg": a.is_ucg,
-        "center": _vertices(g, a.center),
-        "centered_periphery": _vertices(g, a.centered_periphery),
-        "periphery": _vertices(g, periphery),
-        "intermediate": _vertices(g, a.intermediate),
-        "strata": [sorted(s) for s in a.strata],
-        "ec_map": {str(z): sorted(ec) for z, ec in a.ec_map.items()},
-    }
+    result = {"n": g.n, "periphery": _vertices(g, periphery), **a.to_json()}
     extra = {}
     if args.dot:
         roles = tuple(

@@ -5,7 +5,9 @@ vertex set; blocks may overlap.  Six conditions (A, B, A', B', A'', B'')
 constrain how blocks sit inside the host metric.  Each condition is
 written once, as a generator of its violations over block masks: the
 ``check_*`` reporters list every violation with its failed sub-clauses,
-while ``covering_passes`` and the decision search stop at the first one.
+while ``covering_passes`` and the split search's leaves stop at the
+first one.  The block search never runs them: its cuts leave no
+violation of A, A', B or B' standing.
 The package decides, at desk scale, the minimum covering sizes under
 several condition sets:
 
@@ -231,8 +233,8 @@ def _geometry(g: Graph):
 # Each generator walks its subjects (blocks, block vertices, split sides)
 # in a fixed order and lazily yields (subject, tags) for each subject on
 # which every alternative of the condition fails, tags naming those
-# failed sub-clauses.  The reports list every violation; the decision
-# search only asks for the first one.
+# failed sub-clauses.  The reports list every violation; the re-checks
+# only ask for the first one.
 
 def _violations_A(g: Graph, bm: Sequence[int]):
     """A: every block has an outside vertex at distance >= 2."""
@@ -525,11 +527,15 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
 
     Blocks only grow as vertices are placed, so each prune below fires on
     a violation that every completion keeps; a pruned subtree therefore
-    holds no witness and lexicographic order is preserved.  The leaf
-    checks still run on everything that survives.  Before vertex v is
-    placed, each such violation it could cause is written as the set of
-    blocks v would have to join to cause it, and every pattern holding
-    one of those sets is skipped.
+    holds no witness and lexicographic order is preserved.  Before vertex
+    v is placed, each such violation it could cause is written as the set
+    of blocks v would have to join to cause it, and every pattern holding
+    one of those sets is skipped.  The cuts are complete: the empty
+    assignment violates nothing, and each violation of A, A', B or B' is
+    cut when its last ingredient is placed, so every full assignment the
+    block search reaches meets them, and its leaves check nothing.  The
+    split search keeps a leaf check, as its cuts are partial: B''-1c and
+    B''-1d are not monotone, and A''-2 on an empty Q_1 fires no cut.
 
     * A (or A', which implies A): a block whose closed neighborhood N[P_i]
       is V has no outside vertex at distance >= 2.
@@ -605,18 +611,6 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
     return CovSizeResult(tag, k, witness, "decide-k")
 
 
-@functools.cache
-def _pattern_tables(k: int):
-    """The k-only tables of ``_decide_dfs``, each a bit set of block-
-    membership patterns (bit i of a pattern: block i): ``holding[i]``,
-    the patterns holding block i; the nonempty patterns; those without
-    block 0; and ``swapped[i]``, those holding block i + 1 but not block i."""
-    every = (1 << (1 << k)) - 1
-    holding = tuple(mask_of(pat for pat in range(1 << k) if pat >> i & 1) for i in range(k))
-    swapped = tuple(holding[i + 1] & ~holding[i] for i in range(k - 1))
-    return holding, every - 1, every & ~holding[0], swapped
-
-
 class _Memo(dict):
     """A table whose entry for ``key`` is ``make(key)``, built on first read."""
 
@@ -634,12 +628,17 @@ def _packed_tables(n: int, k: int):
     """The (n, k) tables of ``_decide_dfs``'s packed state: k fields of
     w = n + 1 bits, block i in bits i*w .. i*w + n - 1 under a guard bit.
     ``rep[pat]`` holds bit 0 of each field of pattern pat, so m * rep[pat]
-    puts mask m in each of them.  ``sup``, ``touch`` and ``swap`` are keyed
-    by guard masks naming block sets r, and filled on first read: the
-    patterns holding every block of r, those holding some block of r, and
-    ``swapped[i]`` ORed over i in r."""
+    puts mask m in each of them.  The rest are bit sets of block-membership
+    patterns (bit i of a pattern: block i): ``nonempty``; ``no_block0``,
+    those without block 0; and, keyed by guard masks naming block sets r
+    and filled on first read, ``sup``, ``touch`` and ``swap``: those
+    holding every block of r, some block of r, and block i + 1 but not
+    block i for some i in r."""
     w = n + 1
-    holding, nonempty, no_block0, swapped = _pattern_tables(k)
+    every = (1 << (1 << k)) - 1
+    holding = [mask_of(pat for pat in range(1 << k) if pat >> i & 1) for i in range(k)]
+    swapped = [holding[i + 1] & ~holding[i] for i in range(k - 1)]
+    nonempty, no_block0 = every - 1, every & ~holding[0]
     rep = [0]
     for i in range(k):
         rep += [r | 1 << i * w for r in rep]
@@ -696,27 +695,21 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, leaders: bool):
     reach = far3 if need_b else closed
     near = [list(bits(((2 << v) - 1) & (closed[v] | reach[v])))
             for v in range(n)] if need_b or need_bp else ()
-    plain = [_VIOLATIONS[c] for c in ("A", "A'", "B", "B'") if c in conds]
-
-    def leaf(B: int, N1: int, N2: int):
-        bm = tuple(B >> s & full for s in shifts)
-        for violations in plain:
-            if not _holds(violations(host, bm)):
-                return
-        if not refine:
-            yield bm, None
-            return
-        nb1 = tuple(N1 >> s & full for s in shifts)
-        nb2 = tuple(N2 >> s & full for s in shifts)
-        for split in _split_dfs(host, bm, nb1, nb2, conds, geo):
-            yield bm, split
 
     def rec(v: int, B: int, N1: int, N2: int):
         if v == n:
             # blocks may overlap, so one vertex left can still fill every
-            # empty block: emptiness is only decided here
-            if not G ^ ((B | G) - O) & G:
-                yield from leaf(B, N1, N2)
+            # empty block: emptiness is only decided here; the cuts leave
+            # no plain violation to check
+            if G ^ ((B | G) - O) & G:
+                return
+            bm = tuple(B >> s & full for s in shifts)
+            if not refine:
+                yield bm, None
+                return
+            nb1, nb2 = (tuple(X >> s & full for s in shifts) for X in (N1, N2))
+            for split in _split_dfs(host, bm, nb1, nb2, conds, geo):
+                yield bm, split
             return
         # the patterns v may not take: for each clause that placing v in
         # every block of a set R (and maybe others) violates for good,

@@ -82,6 +82,18 @@ class VerificationReport:
         return self.is_ucg and self.center_matches and self.periphery_matches
 
 
+def _c_then_p(c: Graph, p: Graph, host: Graph) -> tuple[list[str], list[str], list]:
+    """C's labels, roles and edges, then P's shifted past them; ``host``,
+    the host of the covering to build on, must be P."""
+    if host != p:
+        raise ValueError("covering host differs from the periphery graph")
+    nc = c.n
+    labels = [c.label_of(v) for v in range(nc)] + [p.label_of(v) for v in range(p.n)]
+    roles = [CENTER] * nc + [PERIPHERY] * p.n
+    edges = list(c.edges) + [(u + nc, v + nc) for u, v in p.edges]
+    return labels, roles, edges
+
+
 def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
                    drop: Iterable[int] = ()) -> Scaffold:
     """Layered witness over covering blocks P_1..P_k.
@@ -95,18 +107,15 @@ def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
     """
     if rho < 1:
         raise DomainError(f"rho must be >= 1, got {rho}")
-    if cover.host != p:
-        raise ValueError("covering host differs from the periphery graph")
+    labels, roles, edges = _c_then_p(c, p, cover.host)
     drop = set(drop)
     if not drop <= set(range(1, rho + 1)):
         raise InvalidDropError(
             f"droppable apex depths are 1..{rho}, got {sorted(drop)}")
     k = cover.k
-    nc, np_ = c.n, p.n
+    nc = c.n
     index: dict[tuple[int, int], int] = {}
-    labels = [c.label_of(v) for v in range(nc)] + [p.label_of(v) for v in range(np_)]
-    roles = [CENTER] * nc + [PERIPHERY] * np_
-    nxt = nc + np_
+    nxt = len(labels)
     for i in range(k + 1):
         for j in range(1, rho + 1):
             if i == 0 and j in drop:
@@ -116,8 +125,6 @@ def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
             roles.append(apex_role(j) if i == 0 else spine_role(i, j))
             nxt += 1
 
-    edges = list(c.edges)
-    edges += [(u + nc, v + nc) for u, v in p.edges]
     for i in range(k + 1):
         if (i, 1) in index:
             edges += [(cv, index[(i, 1)]) for cv in range(nc)]
@@ -141,15 +148,12 @@ def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
     j >= 2, Q_0 complete to y_0 and Q_1 to y_1.  Intermediate count is
     2k + 1.
     """
-    if rc.base.host != p:
-        raise ValueError("covering host differs from the periphery graph")
+    labels, roles, edges = _c_then_p(c, p, rc.base.host)
     base = rc.base
     order = [rc.iota] + [i for i in range(base.k) if i != rc.iota]
     blocks = [base.blocks[i] for i in order]
     k = base.k
     nc, np_ = c.n, p.n
-    labels = [c.label_of(v) for v in range(nc)] + [p.label_of(v) for v in range(np_)]
-    roles = [CENTER] * nc + [PERIPHERY] * np_
     x = {}
     for i in range(1, k + 1):
         x[i] = nc + np_ + (i - 1)
@@ -161,8 +165,6 @@ def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
         labels.append(f"y{j}")
         roles.append(spine_role(j, 2))
 
-    edges = list(c.edges)
-    edges += [(u + nc, v + nc) for u, v in p.edges]
     for i in range(1, k + 1):
         edges += [(cv, x[i]) for cv in range(nc)]
     for j in range(2, k + 1):

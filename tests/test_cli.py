@@ -21,6 +21,13 @@ class TestAnalyze:
         assert r["centered_periphery"]["labels"] == [f"p{i}" for i in range(1, 7)]
         assert r["periphery"]["labels"] == ["p0", "p1", "p2", "p5", "p6", "p7"]
 
+    def test_result_is_the_analysis_json(self):
+        # the CLI adds n and the periphery to UcgAnalysis.to_json()
+        r = run(["analyze", "--periphery", "periphery_gap"])[0]["result"]
+        g = U.named_graph("periphery_gap")
+        assert r.pop("n") == g.n and r.pop("periphery")
+        assert r == U.ucg_analysis(g).to_json()
+
     def test_deterministic_modulo_timing(self):
         a, _ = run(["analyze", "--periphery", "c6"])
         b, _ = run(["analyze", "--periphery", "c6"])

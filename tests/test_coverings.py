@@ -13,8 +13,9 @@ from ucgkit import (INFEASIBLE, BoundExceededError, Covering, Graph,
                     decide_cover_k, gen_P_alpha, gen_prism,
                     iter_covering_witnesses, singleton_covering,
                     two_ball_triple_check)
-from ucgkit.coverings import (PROFILE_CONDS, _pack, _packed_tables, _pattern_tables,
+from ucgkit.coverings import (PROFILE_CONDS, _decide_dfs, _pack, _packed_tables,
                               singleton_witness)
+from ucgkit.graphs import bits
 
 
 def cover(g, *blocks):
@@ -271,16 +272,20 @@ class TestDecide:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_pattern_tables_match_their_definition(self, k):
+        # the k-only pattern tables, read through one-block guard keys
+        w, rep, sup, touch, swap, nonempty, no_block0 = _packed_tables(1, k)
         pats = range(1 << k)
 
         def bitset(keep):
             return sum(1 << pat for pat in pats if keep(pat))
 
-        holding, nonempty, no_block0, swapped = _pattern_tables(k)
-        assert holding == tuple(bitset(lambda pat: pat >> i & 1) for i in range(k))
+        holding = [sup[rep[1 << i] << 1] for i in range(k)]
+        assert holding == [touch[rep[1 << i] << 1] for i in range(k)]
+        assert holding == [bitset(lambda pat: pat >> i & 1) for i in range(k)]
         assert nonempty == bitset(lambda pat: pat != 0)
         assert no_block0 == bitset(lambda pat: not pat & 1)
-        assert swapped == tuple(bitset(lambda pat: pat >> i & 3 == 2) for i in range(k - 1))
+        assert [swap[rep[1 << i] << 1] for i in range(k - 1)] == \
+            [bitset(lambda pat: pat >> i & 3 == 2) for i in range(k - 1)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -316,7 +321,7 @@ class TestDecide:
         equal = s_g ^ ((B ^ B >> w | s_g) - s_one) & s_g
         assert blocks(equal) == [i for i in range(lo, k - 1) if bl[i] == bl[i + 1]]
 
-    @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (4, 2), (3, 4), (2, 6)])
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (4, 2), (3, 4), (3, 5), (2, 6)])
     def test_guard_keyed_tables_match_their_definition(self, n, k):
         w, rep, sup, touch, swap, nonempty, no_block0 = _packed_tables(n, k)
         pats = range(1 << k)
@@ -324,7 +329,7 @@ class TestDecide:
         def bitset(keep):
             return sum(1 << pat for pat in pats if keep(pat))
 
-        assert (nonempty, no_block0) == _pattern_tables(k)[1:3]
+        assert (nonempty, no_block0) == _packed_tables(1, k)[5:]
         for r in pats:
             g = rep[r] << n
             assert sup[g] == bitset(lambda pat: pat & r == r)
@@ -360,6 +365,8 @@ _LITERAL = {"A": oracles.cond_A, "B": oracles.cond_B,
             "A'": oracles.cond_Aprime, "B'": oracles.cond_Bprime}
 _PLAIN_CONDS = [("A",), ("B",), ("A'",), ("B'",), ("A", "B"), ("A'", "B'")]
 _REFINED_CONDS = [("A", "A''", "B''"), ("A''",), ("B''",)]
+#: Every pairing of the block search's cuts, and the refined profile set.
+_CUT_CONDS = _PLAIN_CONDS + [("A'", "B"), ("A", "B'"), ("A", "A''", "B''")]
 
 
 def _literal_streams(g, k, cond_sets, limit=None):
@@ -441,6 +448,24 @@ class TestPrunedSearch:
         g, conds = case
         ref = _literal_streams(g, 2, [conds], limit=20)[conds]
         assert list(itertools.islice(_library_stream(g, 2, conds), 20)) == ref
+
+    @pytest.mark.parametrize("leaders", [False, True])
+    def test_block_search_meets_the_literal_conditions(self, leaders):
+        # _decide_dfs with no re-check after it, past the literal stream
+        # tests' n <= 5: a missing or weakened cut lets through a covering
+        # that fails its condition text
+        graphs = [g for g in U.atlas_graphs(max_n=7, min_n=6) if min(g.ecc) >= 2]
+        for g in graphs[::10]:
+            for k, conds in itertools.product((1, 2, 3), _CUT_CONDS):
+                stream = _decide_dfs(g, k, frozenset(conds), leaders)
+                for bm, split in itertools.islice(stream, 20):
+                    blocks = tuple(frozenset(bits(m)) for m in bm)
+                    assert all(_LITERAL[c](g, blocks) for c in conds if c in _LITERAL), \
+                        (g.edges, k, conds, blocks)
+                    if split is not None:
+                        q0, q1 = (frozenset(bits(m)) for m in split)
+                        assert oracles.cond_Adp(g, blocks, 0, q0, q1)
+                        assert oracles.cond_Bdp(g, blocks, 0, q0, q1)
 
     def test_prism5_three_block_AprimeBprime_infeasible(self):
         dec = decide_cover_k(gen_prism(5).graph, 3, ("A'", "B'"))

@@ -86,6 +86,15 @@ class TestBuildScaffold:
         with pytest.raises(DomainError):
             build_scaffold(k2, p, cov, 0)
 
+    def test_covering_of_another_graph_rejected(self, k2):
+        # both C-then-P builders refuse a covering whose host is not P
+        _, cov = two_k1_cover()
+        other = Graph.empty(3)
+        with pytest.raises(ValueError):
+            build_scaffold(k2, other, cov, 1)
+        with pytest.raises(ValueError):
+            build_refined_scaffold(k2, other, RefinedCovering(cov, 0, frozenset({0}), frozenset()))
+
     def test_byte_stable(self, k2):
         p, cov = two_k1_cover()
         a = build_scaffold(k2, p, cov, 2, drop=(1,))

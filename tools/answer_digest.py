@@ -25,10 +25,10 @@ byte-identical answers, witnesses included.  The corpus is
   bound of 24 free edges admits, then on (k2, p4, 3), (k2, c5, 2),
   (k2, p5, 2) and (p3, p4, 2) under a bound of 30, which their records
   carry as ``"bound"``;
-* last, ``ucg_analysis(G)`` over every atlas graph and every fixture:
-  radius, diameter, the UCG test, center, centered periphery,
-  intermediate vertices, strata and eccentric-set map, serialized as the
-  ``analyze`` command serializes them.
+* last, ``ucg_analysis(G).to_json()`` over every atlas graph and every
+  fixture: radius, diameter, the UCG test, center, centered periphery,
+  intermediate vertices, strata and eccentric-set map, as the
+  ``analyze`` command writes them.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -45,9 +45,7 @@ import json
 import sys
 
 import ucgkit as U
-from ucgkit.cli import _vertices
 from ucgkit.coverings import PROFILE_CONDS
-from ucgkit.graphs import json_number
 
 CENTERS = {"k2": U.Graph.complete(2), "p3": U.Graph.path(3), "2k1": U.Graph.empty(2)}
 PRISMS = range(3, 8)
@@ -131,14 +129,7 @@ def answers(max_n: int):
         yield {"op": "oracle", "center": ctok, "graph": ptok, "t_max": tmax, **kw,
                "answer": U.brute_force_appendage(c, p, tmax, **kw)}
     for name, g in atlas + fixtures:
-        a = U.ucg_analysis(g)
-        yield {"op": "analyze", "graph": name, "answer": {
-            "radius": json_number(a.radius), "diameter": json_number(a.diameter),
-            "is_ucg": a.is_ucg, "center": _vertices(g, a.center),
-            "centered_periphery": _vertices(g, a.centered_periphery),
-            "intermediate": _vertices(g, a.intermediate),
-            "strata": [sorted(stratum) for stratum in a.strata],
-            "ec_map": {str(z): sorted(ec) for z, ec in a.ec_map.items()}}}
+        yield {"op": "analyze", "graph": name, "answer": U.ucg_analysis(g).to_json()}
 
 
 def main(argv: list[str] | None = None) -> int:
