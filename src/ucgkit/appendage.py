@@ -63,16 +63,11 @@ class AppendageResult:
     witness: Scaffold | None
 
     def to_json(self) -> dict:
-        from .codecs import encode_graph6
-
         if isinstance(self.value, Unknown):
             val: object = self.value.to_json()
         else:
             val = json_number(self.value)
-        wit = None
-        if self.witness is not None:
-            wit = {"graph6": encode_graph6(self.witness.graph),
-                   "roles": list(self.witness.roles)}
+        wit = None if self.witness is None else self.witness.to_json()
         return {"value": val, "case": self.case,
                 "certificates": self.certificates, "witness": wit}
 
@@ -355,10 +350,6 @@ def _leader_masks(nf: int, perm_maps: list[list[int]]):
     permutation in ``perm_maps`` maps below itself, in increasing order:
     one lex-leader per orbit, each image read from ``_byte_tables``."""
     nbytes = (nf + 7) // 8
-    if not perm_maps:
-        for mask in range(1 << nf):
-            yield mask.to_bytes(nbytes, "little")
-        return
     tables = [_byte_tables([1 << q for q in pm]) for pm in perm_maps]
     getitem = list.__getitem__
     for mask in range(1 << nf):

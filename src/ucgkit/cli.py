@@ -4,7 +4,7 @@ Every invocation produces one schema-versioned JSON report carrying the
 certificates needed to re-verify its claim offline (coverings, witness
 graphs in graph6).  Identical invocations produce identical reports up
 to the timing field.  Exit codes: 0 success, 1 domain infeasibility
-(an infinite or impossible answer), 2 usage or parse errors.
+(an infinite or impossible answer), 2 usage, parse or file errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .codecs import encode_graph6, load_graph_text, to_dot
 from .coverings import INFEASIBLE, RefinedCovering, cov_A, cov_profile, decide_cover_k
 from .errors import MalformedInputError, UcgError
 from .families import fixture_manifest, named_graph
-from .graphs import INF, Graph, json_number
+from .graphs import INF, Graph
 from .scaffolds import build_refined_scaffold, build_scaffold, verify_construction
 
 SCHEMA = "ucg-report/1"
@@ -117,7 +117,8 @@ def run_command(argv: list[str],
 
     ``args`` is ``argv`` already parsed, for a caller that needs the
     parsed options too.  Raises the package's error types for malformed
-    input; ``main`` maps those to exit code 2.
+    input, and ``OSError`` for a path it cannot read or write; ``main``
+    maps those to exit code 2.
     """
     if args is None:
         args = build_parser().parse_args(argv)
@@ -209,21 +210,9 @@ def _cmd_construct(args, inputs):
         rho = args.rho if args.rho is not None else (1 if c.is_complete else 2)
         drop = tuple(int(x) for x in args.drop.split(",") if x.strip())
         scaffold = build_scaffold(c, p, covering, rho, drop)
-    rep = verify_construction(scaffold, c, p)
-    result = {
-        "covering": covering.to_json(),
-        "scaffold": {"graph6": encode_graph6(scaffold.graph),
-                     "roles": list(scaffold.roles),
-                     "n": scaffold.graph.n},
-        "verification": {
-            "is_ucg": rep.is_ucg,
-            "center_matches": rep.center_matches,
-            "periphery_matches": rep.periphery_matches,
-            "radius": json_number(rep.radius),
-            "intermediate_count": rep.intermediate_count,
-            "ok": rep.ok,
-        },
-    }
+    result = {"covering": covering.to_json(),
+              "scaffold": {**scaffold.to_json(), "n": scaffold.graph.n},
+              "verification": verify_construction(scaffold, c, p).to_json()}
     extra = {}
     if args.dot:
         Path(args.dot).write_text(to_dot(scaffold.graph, scaffold.roles))
@@ -263,16 +252,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report, code = run_command(argv, args)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.json_path:
+            Path(args.json_path).write_text(text + "\n")
+        else:
+            print(text)
     except SystemExit as exc:  # argparse already printed usage
         return 2 if exc.code not in (0, None) else 0
-    except (UcgError, ValueError) as exc:
+    except (UcgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json_path:
-        Path(args.json_path).write_text(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -5,9 +5,9 @@ vertex set; blocks may overlap.  Six conditions (A, B, A', B', A'', B'')
 constrain how blocks sit inside the host metric.  Each condition is
 written once, as a generator of its violations over block masks: the
 ``check_*`` reporters list every violation with its failed sub-clauses,
-while ``covering_passes`` and the split search's leaves stop at the
-first one.  The block search never runs them: its cuts leave no
-violation of A, A', B or B' standing.
+while ``covering_passes`` stops at the first one.  The decision search
+never runs them: its cuts leave no violation standing but one case of
+B''-1, which the split search's leaves check from three masks.
 The package decides, at desk scale, the minimum covering sizes under
 several condition sets:
 
@@ -34,7 +34,7 @@ demand a witness *inside* a set are false for the empty set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
@@ -164,18 +164,13 @@ class Unknown:
     ``"ladder"`` when every block count tried was exhausted below it;
     in the appendage engine ``"witness-cap"`` when the witness retry cap
     ran out, ``"no-build"`` when coverings met the conditions but none of
-    their constructions verified.  It takes no part in equality or the
-    repr, which predate it.
+    their constructions verified.
     """
 
     lo: int
     hi: int
     bound: int
-    stop: Literal["ladder", "vertex-bound", "witness-cap", "no-build"] = field(
-        default="ladder", compare=False)
-
-    def __repr__(self):
-        return f"UNKNOWN(lo={self.lo}, hi={self.hi}, bound={self.bound})"
+    stop: Literal["ladder", "vertex-bound", "witness-cap", "no-build"]
 
     def to_json(self) -> dict:
         return {"unknown": True, "lo": self.lo, "hi": self.hi,
@@ -533,9 +528,7 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
     one of those sets is skipped.  The cuts are complete: the empty
     assignment violates nothing, and each violation of A, A', B or B' is
     cut when its last ingredient is placed, so every full assignment the
-    block search reaches meets them, and its leaves check nothing.  The
-    split search keeps a leaf check, as its cuts are partial: B''-1c and
-    B''-1d are not monotone, and A''-2 on an empty Q_1 fires no cut.
+    block search reaches meets them, and its leaves check nothing.
 
     * A (or A', which implies A): a block whose closed neighborhood N[P_i]
       is V has no outside vertex at distance >= 2.
@@ -561,6 +554,14 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
     * B''-2b: a vertex p of Q_l failing B''-2a, with every vertex of P_0
       at distance >= 4 from p already in Q_l, or N[p] already meeting
       the other side.
+
+    A'' and B''-2 are then complete, each violation cut when its last
+    ingredient is placed.  An empty Q_1 needs no rule: with a sibling it
+    meets A''-2b, and with none (k = 1) P_0 is V, so the first vertex
+    placed in Q_0 is cut by A''-2.  What is left is B''-1 at a sibling
+    vertex p whose N[p] meets one side only: it fails exactly when the
+    other side meets the 2-ball of p and misses far4[p], which is not
+    monotone, so a complete split checks that and nothing else.
 
     B''-2 also cuts the block search, through every split at once.  Each
     p of P_0 lies in some side Q_l; when N[p] meets every sibling
@@ -806,7 +807,8 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], nb1: tuple[int, ...],
     assigned in index order, each Q0-only, Q1-only or both (the lowest
     vertex skips Q1-only), so the splits come in lexicographic order of
     that pattern vector.  A subtree is cut as soon as a clause fails in a
-    way no later vertex can repair; the splits reached are checked in full.
+    way no later vertex can repair; a split reached is checked only for
+    the B''-1 case no cut decides (see ``decide_cover_k``).
     ``geo`` is ``_geometry(g)``.
     """
     full, closed, ball2, _, far4 = geo
@@ -823,6 +825,9 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], nb1: tuple[int, ...],
     # and A''-1b (A''-1c is left), and N[p] of a sibling vertex failing
     # B''-1a and B''-1b (B''-1c and B''-1d both fail once Q0 and Q1 meet it)
     one_side: list[int] = []
+    # those sibling vertices p: with N[p] meeting one side only, B''-1
+    # fails when the other side meets the 2-ball of p and misses far4[p]
+    lone: list[int] = []
     # vertices of block 0 failing B''-2a, which need B''-2b in their side
     need_2b = 0
     if need_a:
@@ -839,7 +844,8 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], nb1: tuple[int, ...],
         while m:
             low = m & -m
             m ^= low
-            one_side.append(closed[low.bit_length() - 1])
+            lone.append(low.bit_length() - 1)
+            one_side.append(closed[lone[-1]])
     # ... packed the same way: both sides meet one of them when the fields
     # of T & U * Q_0 and of T & U * Q_1 are nonempty at the same guard
     T, U = _pack(one_side, n + 1)
@@ -847,10 +853,10 @@ def _split_dfs(g: Graph, bm: tuple[int, ...], nb1: tuple[int, ...],
 
     def rec(t: int, q0: int, q1: int, b0: int, b1: int, c0: int, c1: int):
         if t == len(vs):
-            if need_a and not _holds(_violations_Adp(g, bm, 0, q0, q1)):
-                return
-            if need_b and not _holds(_violations_Bdp(g, bm, 0, q0, q1)):
-                return
+            for p in lone:
+                qo = q1 if q0 & closed[p] else q0
+                if qo & ball2[p] and not qo & far4[p]:
+                    return
             yield q0, q1
             return
         x = vs[t]

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import ucg_analysis
+from .codecs import encode_graph6
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError, InvalidDropError
-from .graphs import Dist, Graph, bits, mask_of
+from .graphs import Dist, Graph, bits, json_number, mask_of
 
 CENTER = "center"
 PERIPHERY = "periphery"
@@ -66,6 +67,9 @@ class Scaffold:
         return tuple(v for v, r in enumerate(self.roles)
                      if r not in (CENTER, PERIPHERY))
 
+    def to_json(self) -> dict:
+        return {"graph6": encode_graph6(self.graph), "roles": list(self.roles)}
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -80,6 +84,12 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.is_ucg and self.center_matches and self.periphery_matches
+
+    def to_json(self) -> dict:
+        return {"is_ucg": self.is_ucg, "center_matches": self.center_matches,
+                "periphery_matches": self.periphery_matches,
+                "radius": json_number(self.radius),
+                "intermediate_count": self.intermediate_count, "ok": self.ok}
 
 
 def _c_then_p(c: Graph, p: Graph, host: Graph) -> tuple[list[str], list[str], list]:

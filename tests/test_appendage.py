@@ -71,26 +71,23 @@ class TestAppendageNumber:
 
     def test_unresolved_when_bound_blocks_the_decision(self, k2):
         res = appendage_number(k2, Graph.cycle(5), bound=4)
-        assert res.value == Unknown(3, 4, 4)
-        assert res.value.stop == "vertex-bound"
+        assert res.value == Unknown(3, 4, 4, "vertex-bound")
         assert res.witness is None
         assert "undecided" in res.case
 
     def test_unknown_when_bound_blocks_the_first_general_route(self, p3):
         # kappa(C5) = 3 and n = 5 > 4 stops the A'B' route at once
         res = appendage_number(p3, Graph.cycle(5), bound=4)
-        assert res.value == Unknown(6, 8, 4)
-        assert res.value.stop == "vertex-bound"
+        assert res.value == Unknown(6, 8, 4, "vertex-bound")
         assert res.certificates["cov_A'B'_decision"]["status"] == "vertex-bound"
 
     def test_open_2k_plus_1_takes_its_stop_from_the_refined_route(self, p3, prism7):
         # A'B' and A' have no size-2 covering (connected, diam 4); the
         # refined route is the one the bound stops
         res = appendage_number(p3, prism7, bound=10)
-        assert res.value == Unknown(5, 6, 10)
+        assert res.value == Unknown(5, 6, 10, "vertex-bound")
         assert res.certificates["cov_A'_decision"]["status"] == "no-witness"
         assert res.certificates["cov_AA''B''_decision"]["status"] == "vertex-bound"
-        assert res.value.stop == "vertex-bound"
 
     def test_json_serialization(self, k2):
         res = appendage_number(k2, U.named_graph("2k2"))
@@ -104,14 +101,14 @@ class TestAppendageNumber:
 
     def test_no_build_leaves_the_complete_center_open(self, k2, nothing_verifies):
         res = appendage_number(k2, U.named_graph("2k2"))
-        assert res.value == Unknown(2, 3, 14) and res.value.stop == "no-build"
+        assert res.value == Unknown(2, 3, 14, "no-build")
         assert res.case == ("complete center: cov_AB undecided"
                             " (conditions met at k=2, no construction verified)")
         assert res.witness is None
 
     def test_no_build_leaves_2k_plus_1_open(self, p3, nothing_verifies):
         res = appendage_number(p3, U.named_graph("2k2"))
-        assert res.value == Unknown(5, 6, 14) and res.value.stop == "no-build"
+        assert res.value == Unknown(5, 6, 14, "no-build")
         assert [res.certificates[f"cov_{key}_decision"]["status"]
                 for key in ("A'B'", "A'", "AA''B''")] == ["no-build"] * 3
 
@@ -119,9 +116,9 @@ class TestAppendageNumber:
                                                 monkeypatch):
         monkeypatch.setattr(U.appendage, "WITNESS_RETRY_CAP", 1)
         res = appendage_number(k2, U.named_graph("2k2"))
-        assert res.value == Unknown(2, 3, 14) and res.value.stop == "witness-cap"
+        assert res.value == Unknown(2, 3, 14, "witness-cap")
         res = appendage_number(p3, U.named_graph("2k2"))
-        assert res.value == Unknown(4, 6, 14) and res.value.stop == "witness-cap"
+        assert res.value == Unknown(4, 6, 14, "witness-cap")
         assert res.case == "general center: cov_A'B' undecided (witness retry cap at k=2)"
 
     def test_prism_values(self, p3, prism6, prism7):

@@ -204,6 +204,18 @@ class TestMainEntry:
         assert main(["analyze", "--periphery", "no_such_thing_42"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_directory_input_is_usage_error(self, tmp_path, capsys):
+        assert main(["analyze", "--periphery", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unwritable_json_path_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["analyze", "--periphery", "c4", "--json", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and out.out == ""
+        assert not path.exists()
+
     def test_oversized_token_is_usage_error(self, capsys):
         assert main(["analyze", "--periphery", "p1001"]) == 2
         assert "more than 1000" in capsys.readouterr().err
