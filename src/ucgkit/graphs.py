@@ -7,13 +7,15 @@ convention the rest of the package relies on: the distance from an empty
 set is infinite, and every ``distance >= t`` threshold is met by infinity.
 
 A graph stores its adjacency as one bitmask per vertex and nothing else.
-Every metric quantity comes from one kernel, ``bfs_layers``, which grows
-the disjoint distance layers of a source set over those masks.  The
-per-vertex layers and reach masks are computed once and cached on the
-instance; eccentricities, eccentric sets and balls are read off them as
-masks.  The distance matrix is a view of the layers that builds a row
-only when the row is read.  Graphs are immutable, so the caches can never
-go stale.
+Every metric quantity comes from one all-pairs search, ``Graph.dist``,
+run once per graph and cached on the instance.  Up to
+``PACKED_BFS_MAX_N`` vertices it is one breadth-first search from every
+source at once over n packed fields (``all_sources_bfs``); above that it
+runs ``bfs_layers``, which grows the distance layers of one source set,
+once per vertex.  Either way it stores the reach masks, eccentricities
+and eccentric sets as masks.  The per-vertex layers, the balls and the
+distance matrix are read off what it stored, each the first time it is
+read.  Graphs are immutable, so the caches can never go stale.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 INF = math.inf
 
@@ -44,6 +46,37 @@ def bits(mask: int) -> Iterator[int]:
 
 def mask_of(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in set(vertices))
+
+
+#: Graphs with at most this many vertices run ``all_sources_bfs``; larger
+#: ones run ``bfs_layers`` once per source.  The packed search costs n
+#: multiplies of n^2-bit integers per BFS level, so it loses first on long
+#: diameters: at 32 vertices a path about breaks even (0.9-1.0x) while
+#: G(n, 3/n) runs 2x as fast, and past that the path loses more.
+PACKED_BFS_MAX_N = 32
+
+
+class _FromDist:
+    """A per-graph result of the distance search, as a lock-free
+    non-data descriptor: the first read runs ``dist``, which writes the
+    result into the instance dict, where every later read finds it
+    without reaching this descriptor.  ``unpack(g)`` builds a result that
+    ``dist`` does not write itself, and is kept there too."""
+
+    def __init__(self, unpack=None):
+        self.unpack = unpack
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        g.dist
+        d = g.__dict__
+        if self.name not in d:
+            d[self.name] = self.unpack(g)
+        return d[self.name]
 
 
 class Graph:
@@ -69,7 +102,7 @@ class Graph:
         self.n = n
         self.adj_masks: tuple[int, ...] = tuple(masks)
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(map(str, labels))
             if len(labels) != n:
                 raise ValueError("labels length must equal vertex count")
         self.labels: tuple[str, ...] | None = labels
@@ -151,49 +184,54 @@ class Graph:
     # -- distances -------------------------------------------------------------
 
     @cached_property
-    def layers(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex v, the masks of the vertices at distance 0, 1, ..
-        from v, up to v's last nonempty layer; ``dist`` computes them."""
-        self.dist
-        return self.__dict__["layers"]
-
-    @cached_property
-    def reach_masks(self) -> tuple[int, ...]:
-        """Per vertex v, the mask of the vertices v reaches (the union of
-        its layers); ``dist`` computes them with the layers."""
-        self.dist
-        return self.__dict__["reach_masks"]
-
-    @cached_property
     def dist(self) -> DistanceRows:
         """The distance matrix, as rows read off the layers on demand.
 
         The all-pairs search happens here, once per graph, so that timing
-        ``dist`` times the distance kernel (``perfbench`` traces it): one
-        kernel call per vertex, whose layers and reach are kept as
-        ``layers`` and ``reach_masks``, which every other metric reads.
-        No row is filled until it is indexed.
+        ``dist`` times the distance kernel (``perfbench`` traces it).  It
+        writes ``reach_masks``, ``ecc`` and ``ecc_masks`` into the
+        instance dict, which every other metric reads.
+
+        Up to ``PACKED_BFS_MAX_N`` vertices, ``all_sources_bfs`` searches
+        from every source at once, so a graph costs n multiplies per BFS
+        level plus 3n shifts to unpack the three results, and it keeps
+        only the packed levels: ``layers`` and each row are cut out of
+        them when first read.  Above the cutoff the packed integers grow
+        as n^2 bits and the search is slower than one ``bfs_layers`` per
+        source, which runs instead and keeps its layers.  No row is filled
+        until it is indexed.
         """
-        runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(self.n)]
-        layers = self.__dict__["layers"] = tuple(tuple(ls) for ls, _ in runs)
-        self.__dict__["reach_masks"] = tuple(seen for _, seen in runs)
+        n, d = self.n, self.__dict__
+        full = (1 << n) - 1
+        if n <= PACKED_BFS_MAX_N:
+            levels, seen, depth, last = all_sources_bfs(self.adj_masks)
+            shifts = range(0, n * (n + 1), n + 1)
+            reach = tuple([seen >> s & full for s in shifts])
+            depths = [depth >> s & full for s in shifts]
+            lasts = [last >> s & full for s in shifts]
+            layers = PackedLayers(levels, n)
+        else:
+            runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(n)]
+            layers = tuple([tuple(ls) for ls, _ in runs])
+            reach = tuple([seen for _, seen in runs])
+            depths = [len(ls) - 1 for ls in layers]
+            lasts = [ls[-1] for ls in layers]
+        d["_layers"], d["reach_masks"] = layers, reach
+        d["ecc"] = tuple([e if r == full else INF for e, r in zip(depths, reach)])
+        d["ecc_masks"] = tuple([m if r == full else full & ~r for m, r in zip(lasts, reach)])
         return DistanceRows(layers)
 
-    @cached_property
-    def ecc(self) -> tuple[Dist, ...]:
-        """Eccentricities; a vertex that misses some vertex has infinite
-        eccentricity."""
-        full = self.full_mask
-        return tuple(len(ls) - 1 if seen == full else INF
-                     for ls, seen in zip(self.layers, self.reach_masks))
-
-    @cached_property
-    def ecc_masks(self) -> tuple[int, ...]:
-        """Per vertex, the mask of its eccentric set: the last layer, or
-        the unreachable vertices when the eccentricity is infinite."""
-        full = self.full_mask
-        return tuple(ls[-1] if seen == full else full & ~seen
-                     for ls, seen in zip(self.layers, self.reach_masks))
+    #: Per vertex v, the mask of the vertices v reaches.
+    reach_masks = _FromDist()
+    #: Eccentricities; a vertex that misses some vertex has infinite
+    #: eccentricity.
+    ecc = _FromDist()
+    #: Per vertex, the mask of its eccentric set: its last layer, or the
+    #: vertices it does not reach when its eccentricity is infinite.
+    ecc_masks = _FromDist()
+    #: Per vertex v, the masks of the vertices at distance 0, 1, .. from
+    #: v, up to v's last nonempty layer.
+    layers = _FromDist(lambda g: tuple(g.__dict__["_layers"]))
 
     def ball_masks(self, t: int) -> tuple[int, ...]:
         """Masks of the closed t-neighborhoods N_t[v]: the union of the
@@ -244,7 +282,9 @@ class DistanceRows(Sequence):
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, v: int) -> tuple[Dist, ...]:
+    def __getitem__(self, v: int | slice):
+        if isinstance(v, slice):
+            return tuple(self[u] for u in range(len(self._rows))[v])
         row = self._rows[v]
         if row is None:
             cells: list[Dist] = [INF] * len(self._rows)
@@ -253,6 +293,83 @@ class DistanceRows(Sequence):
                     cells[u] = d
             row = self._rows[v] = tuple(cells)
         return row
+
+
+class PackedLayers(Sequence):
+    """The per-vertex layers held in the packed levels of
+    ``all_sources_bfs``: item v is the tuple of v's nonempty layers, cut
+    out of field v of each level when it is read."""
+
+    __slots__ = ("_levels", "_shifts", "_full")
+
+    def __init__(self, levels: Sequence[int], n: int):
+        self._levels = levels
+        self._shifts = range(0, n * (n + 1), n + 1)
+        self._full = (1 << n) - 1
+
+    def __len__(self) -> int:
+        return len(self._shifts)
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        s, full = self._shifts[v], self._full
+        out = []
+        for level in self._levels:
+            layer = level >> s & full
+            if not layer:
+                break
+            out.append(layer)
+        return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _fields(n: int) -> tuple[int, int, int]:
+    """For n fields of n + 1 bits: the lowest bit of every field, the top
+    (guard) bit of every field, and bit s of field s for every s."""
+    w = n + 1
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    return ones, ones << n, ((1 << (w + 1) * n) - 1) // ((1 << (w + 1)) - 1)
+
+
+def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]:
+    """One level-synchronous breadth-first search from every vertex.
+
+    Field s of an integer of n fields of n + 1 bits (bits s(n + 1) to
+    s(n + 1) + n - 1, the top bit a guard kept clear) holds the search
+    from source s.  A level ORs ``adj_masks[u]`` into every field whose
+    frontier holds u with one multiply, ``(frontier >> u & ones) * adj[u]``,
+    and drops what was seen.  The fields a level reaches are those whose
+    guard survives ``(nxt | guards) - ones``, one subtraction that borrows
+    through the guard of every empty field and no other.
+
+    Returns ``(levels, seen, depth, last)``: ``levels[d]`` packs the
+    layers at distance d (``levels[0]`` holds field s = {s}, and a field
+    stays empty once it empties), ``seen`` the reached sets, ``depth``
+    each source's count of nonempty layers after the first, and ``last``
+    each source's last nonempty layer.
+    """
+    n = len(adj_masks)
+    ones, guards, diag = _fields(n)
+    every = guards - ones  # every field full: no level can follow
+    levels = [diag]
+    seen = frontier = last = diag
+    depth = 0
+    while seen != every:
+        nxt = 0
+        for u, a in enumerate(adj_masks):
+            col = frontier >> u & ones
+            if col:
+                nxt |= col * a
+        nxt &= ~seen
+        if not nxt:
+            break
+        live = ((nxt | guards) - ones) & guards
+        low = live >> n
+        depth += low
+        last = last & ~(live - low) | nxt
+        seen |= nxt
+        frontier = nxt
+        levels.append(nxt)
+    return levels, seen, depth, last
 
 
 def bfs_layers(adj_masks: Sequence[int], sources_mask: int) -> tuple[list[int], int]:

@@ -22,6 +22,7 @@ test-suite exercises in both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .analysis import ucg_analysis
@@ -92,16 +93,43 @@ class VerificationReport:
                 "intermediate_count": self.intermediate_count, "ok": self.ok}
 
 
-def _c_then_p(c: Graph, p: Graph, host: Graph) -> tuple[list[str], list[str], list]:
-    """C's labels, roles and edges, then P's shifted past them; ``host``,
-    the host of the covering to build on, must be P."""
+@lru_cache(maxsize=64)
+def _numerals(n: int) -> tuple[str, ...]:
+    """The labels of an unlabeled graph on n vertices: "0", "1", .."""
+    return tuple(map(str, range(n)))
+
+
+def _c_then_p(c: Graph, p: Graph, host: Graph) -> tuple[tuple[str, ...], list]:
+    """C's labels and edges, then P's shifted past them; ``host``, the
+    host of the covering to build on, must be P."""
     if host != p:
         raise ValueError("covering host differs from the periphery graph")
     nc = c.n
-    labels = [c.label_of(v) for v in range(nc)] + [p.label_of(v) for v in range(p.n)]
-    roles = [CENTER] * nc + [PERIPHERY] * p.n
-    edges = list(c.edges) + [(u + nc, v + nc) for u, v in p.edges]
-    return labels, roles, edges
+    labels = (c.labels or _numerals(nc)) + (p.labels or _numerals(p.n))
+    return labels, [*c.edges, *[(u + nc, v + nc) for u, v in p.edges]]
+
+
+@lru_cache(maxsize=256)
+def _layered_frame(nc: int, np_: int, k: int, rho: int, drop: frozenset[int]) -> tuple:
+    """What a layered scaffold takes from its shape alone: its vertex
+    count, the spine labels, every role, the edges joining C to the
+    chains and the chain edges, and the foot x_{i,rho} of each chain
+    i = 1..k."""
+    index: dict[tuple[int, int], int] = {}
+    labels, roles = [], [CENTER] * nc + [PERIPHERY] * np_
+    for i in range(k + 1):
+        for j in range(1, rho + 1):
+            if i == 0 and j in drop:
+                continue
+            index[(i, j)] = nc + np_ + len(labels)
+            labels.append(f"x{i},{j}")
+            roles.append(apex_role(j) if i == 0 else spine_role(i, j))
+    edges = [(cv, index[(i, 1)]) for i in range(k + 1) if (i, 1) in index
+             for cv in range(nc)]
+    edges += [(index[(i, j)], index[(i, j + 1)]) for i in range(k + 1)
+              for j in range(1, rho) if (i, j) in index and (i, j + 1) in index]
+    feet = tuple(index[(i, rho)] for i in range(1, k + 1))
+    return nc + np_ + len(labels), tuple(labels), tuple(roles), tuple(edges), feet
 
 
 def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
@@ -117,36 +145,33 @@ def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
     """
     if rho < 1:
         raise DomainError(f"rho must be >= 1, got {rho}")
-    labels, roles, edges = _c_then_p(c, p, cover.host)
-    drop = set(drop)
+    labels, edges = _c_then_p(c, p, cover.host)
+    drop = frozenset(drop)
     if not drop <= set(range(1, rho + 1)):
         raise InvalidDropError(
             f"droppable apex depths are 1..{rho}, got {sorted(drop)}")
-    k = cover.k
     nc = c.n
-    index: dict[tuple[int, int], int] = {}
-    nxt = len(labels)
-    for i in range(k + 1):
-        for j in range(1, rho + 1):
-            if i == 0 and j in drop:
-                continue
-            index[(i, j)] = nxt
-            labels.append(f"x{i},{j}")
-            roles.append(apex_role(j) if i == 0 else spine_role(i, j))
-            nxt += 1
+    n, spine, roles, frame, feet = _layered_frame(nc, p.n, cover.k, rho, drop)
+    for foot, blk in zip(feet, cover.blocks):
+        edges += [(nc + pv, foot) for pv in blk]
+    edges += frame
+    return Scaffold(Graph(n, edges, labels + spine), roles)
 
-    for i in range(k + 1):
-        if (i, 1) in index:
-            edges += [(cv, index[(i, 1)]) for cv in range(nc)]
-    for i in range(1, k + 1):
-        bottom = index[(i, rho)]
-        edges += [(nc + pv, bottom) for pv in sorted(cover.blocks[i - 1])]
-    for i in range(k + 1):
-        for j in range(1, rho):
-            if (i, j) in index and (i, j + 1) in index:
-                edges.append((index[(i, j)], index[(i, j + 1)]))
 
-    return Scaffold(Graph(nxt, edges, labels), tuple(roles))
+@lru_cache(maxsize=256)
+def _refined_frame(nc: int, np_: int, k: int) -> tuple:
+    """What a refined scaffold takes from its shape alone: its vertex
+    count, the spine labels, every role, the edges C -- x_i, x_i -- y_i
+    and x_1 -- y_0, and the vertices y_0..y_k."""
+    x = range(nc + np_, nc + np_ + k)  # x_i is x[i - 1]
+    y = range(nc + np_ + k, nc + np_ + 2 * k + 1)
+    labels = tuple(f"x{i}" for i in range(1, k + 1)) + tuple(f"y{j}" for j in range(k + 1))
+    roles = ((CENTER,) * nc + (PERIPHERY,) * np_
+             + tuple(spine_role(i, 1) for i in range(1, k + 1))
+             + tuple(spine_role(j, 2) for j in range(k + 1)))
+    edges = [(cv, xi) for xi in x for cv in range(nc)]
+    edges += [*zip(x, y[1:]), (x[0], y[0])]
+    return y[-1] + 1, labels, roles, tuple(edges), y
 
 
 def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
@@ -158,41 +183,24 @@ def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
     j >= 2, Q_0 complete to y_0 and Q_1 to y_1.  Intermediate count is
     2k + 1.
     """
-    labels, roles, edges = _c_then_p(c, p, rc.base.host)
+    labels, edges = _c_then_p(c, p, rc.base.host)
     base = rc.base
-    order = [rc.iota] + [i for i in range(base.k) if i != rc.iota]
-    blocks = [base.blocks[i] for i in order]
-    k = base.k
-    nc, np_ = c.n, p.n
-    x = {}
-    for i in range(1, k + 1):
-        x[i] = nc + np_ + (i - 1)
-        labels.append(f"x{i}")
-        roles.append(spine_role(i, 1))
-    y = {}
-    for j in range(k + 1):
-        y[j] = nc + np_ + k + j
-        labels.append(f"y{j}")
-        roles.append(spine_role(j, 2))
-
-    for i in range(1, k + 1):
-        edges += [(cv, x[i]) for cv in range(nc)]
-    for j in range(2, k + 1):
-        edges += [(nc + pv, y[j]) for pv in sorted(blocks[j - 1])]
-    edges += [(nc + pv, y[0]) for pv in sorted(rc.q0)]
-    edges += [(nc + pv, y[1]) for pv in sorted(rc.q1)]
-    edges += [(x[i], y[i]) for i in range(1, k + 1)]
-    edges.append((x[1], y[0]))
-
-    return Scaffold(Graph(nc + np_ + 2 * k + 1, edges, labels), tuple(roles))
+    nc = c.n
+    n, spine, roles, frame, y = _refined_frame(nc, p.n, base.k)
+    edges += [(nc + pv, y[0]) for pv in rc.q0]
+    edges += [(nc + pv, y[1]) for pv in rc.q1]
+    rest = (blk for i, blk in enumerate(base.blocks) if i != rc.iota)
+    for yj, blk in zip(y[2:], rest):
+        edges += [(nc + pv, yj) for pv in blk]
+    edges += frame
+    return Scaffold(Graph(n, edges, labels + spine), roles)
 
 
 def build_cone(p: Graph) -> Scaffold:
     """A single apex adjacent to every vertex of p."""
-    labels = ["apex"] + [p.label_of(v) for v in range(p.n)]
     edges = [(0, v + 1) for v in range(p.n)]
     edges += [(u + 1, v + 1) for u, v in p.edges]
-    return Scaffold(Graph(p.n + 1, edges, labels),
+    return Scaffold(Graph(p.n + 1, edges, ("apex",) + (p.labels or _numerals(p.n))),
                     (CENTER,) + (PERIPHERY,) * p.n)
 
 

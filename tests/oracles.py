@@ -273,3 +273,63 @@ def verification_report(g: Graph, roles, c: Graph, p: Graph) -> dict:
             "periphery_matches": matches(cp, "periphery", p),
             "radius": r,
             "intermediate_count": len(vs - center - cp)}
+
+
+# --- witness builders, edge by edge ---------------------------------------------
+
+def _labels(g: Graph) -> list[str]:
+    return [g.labels[v] if g.labels else str(v) for v in range(g.n)]
+
+
+def layered_scaffold(c: Graph, p: Graph, blocks, rho: int, drop) -> tuple:
+    """``(n, edges, labels, roles)`` of the layered scaffold, one vertex
+    and one edge at a time: C, then P, then spine vertex (i, j) for
+    chain i = 0..k (0 the apex chain, minus the depths in ``drop``) and
+    depth j = 1..rho; C joined to every x_{i,1}, block P_i to x_{i,rho},
+    and each chain x_{i,j} -- x_{i,j+1}."""
+    nc, k = c.n, len(blocks)
+    labels = _labels(c) + _labels(p)
+    roles = ["center"] * nc + ["periphery"] * p.n
+    edges = list(c.edges) + [(u + nc, v + nc) for u, v in p.edges]
+    index = {}
+    for i in range(k + 1):
+        for j in range(1, rho + 1):
+            if i == 0 and j in drop:
+                continue
+            index[i, j] = len(labels)
+            labels.append(f"x{i},{j}")
+            roles.append(f"apex-spine:{j}" if i == 0 else f"spine:{i},{j}")
+    for (i, j), x in index.items():
+        if j == 1:
+            edges += [(cv, x) for cv in range(nc)]
+        if i >= 1 and j == rho:
+            edges += [(nc + pv, x) for pv in sorted(blocks[i - 1])]
+        if (i, j + 1) in index:
+            edges.append((x, index[i, j + 1]))
+    return len(labels), edges, labels, roles
+
+
+def refined_scaffold(c: Graph, p: Graph, blocks, iota: int, q0, q1) -> tuple:
+    """``(n, edges, labels, roles)`` of the refined scaffold, one vertex
+    and one edge at a time: C, then P, then x_1..x_k and y_0..y_k, with
+    the blocks renumbered so block ``iota`` comes first; C joined to
+    every x_i, x_i -- y_i, x_1 -- y_0, Q_0 to y_0, Q_1 to y_1 and block
+    P_j to y_j for j >= 2."""
+    nc, np_, k = c.n, p.n, len(blocks)
+    order = [blocks[iota]] + [b for i, b in enumerate(blocks) if i != iota]
+    labels = _labels(c) + _labels(p)
+    roles = ["center"] * nc + ["periphery"] * np_
+    edges = list(c.edges) + [(u + nc, v + nc) for u, v in p.edges]
+    x = {i: nc + np_ + i - 1 for i in range(1, k + 1)}
+    y = {j: nc + np_ + k + j for j in range(k + 1)}
+    labels += [f"x{i}" for i in x] + [f"y{j}" for j in y]
+    roles += [f"spine:{i},1" for i in x] + [f"spine:{j},2" for j in y]
+    for i in x:
+        edges += [(cv, x[i]) for cv in range(nc)]
+        edges.append((x[i], y[i]))
+    edges.append((x[1], y[0]))
+    edges += [(nc + pv, y[0]) for pv in sorted(q0)]
+    edges += [(nc + pv, y[1]) for pv in sorted(q1)]
+    for j in range(2, k + 1):
+        edges += [(nc + pv, y[j]) for pv in sorted(order[j - 1])]
+    return len(labels), edges, labels, roles

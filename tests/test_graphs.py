@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ucgkit import (INF, Graph, eccentric_set, induced_subgraph,
                     metric_profile, ucg_analysis)
+from ucgkit import graphs
 from ucgkit.graphs import bfs_layers, bits
 
 
@@ -75,6 +76,11 @@ class TestDistances:
                 assert d[u][v] == d[v][u]
         assert d[0][3] == INF and d[2][0] == 2
 
+    def test_slice_gives_rows(self):
+        g = Graph.path(3)
+        assert g.dist[0:2] == ((0, 1, 2), (1, 0, 1))
+        assert g.dist[::-1] == (g.dist[2], g.dist[1], g.dist[0])
+
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy())
     def test_distances_match_floyd_warshall(self, g):
@@ -103,26 +109,60 @@ def _mask(vs):
     return sum(1 << v for v in vs)
 
 
+def assert_metrics_match_floyd(g):
+    """Every per-vertex quantity the distance search gives, against the
+    Floyd-Warshall distances."""
+    d = oracles.floyd_distances(g)
+    ecc = oracles.eccentricities(g)
+    vs = range(g.n)
+    for v in vs:
+        for u in vs:
+            if d[v, u] == math.inf:
+                assert g.dist[v][u] is INF
+            else:
+                assert g.dist[v][u] == d[v, u] and type(g.dist[v][u]) is int
+        depth = max(x for x in (d[v, u] for u in vs) if x != math.inf)
+        assert g.layers[v] == tuple(_mask(u for u in vs if d[v, u] == t)
+                                    for t in range(depth + 1))
+        assert g.reach_masks[v] == _mask(u for u in vs if d[v, u] != math.inf)
+        assert g.ecc[v] == ecc[v]
+        assert (g.ecc[v] is INF) == (ecc[v] == math.inf)
+        assert g.ecc_masks[v] == _mask(u for u in vs if d[v, u] == ecc[v])
+        assert eccentric_set(g, v) == {u for u in vs if d[v, u] == ecc[v]}
+        for t in range(-1, g.n + 1):
+            assert g.ball_masks(t)[v] == _mask(u for u in vs if d[v, u] <= t)
+            assert g.far_masks(t)[v] == _mask(u for u in vs if d[v, u] >= t)
+    assert g.is_connected == all(e != math.inf for e in ecc)
+
+
+def chorded_pieces(n):
+    """A cycle with chords on all but the last five vertices, then a path
+    on three and two isolated vertices."""
+    m = n - 5
+    edges = [(i, (i + 1) % m) for i in range(m)] + [(i, i + 3) for i in range(0, m - 3, 4)]
+    return Graph(n, edges + [(m, m + 1), (m + 1, m + 2)])
+
+
+CUTOFF = graphs.PACKED_BFS_MAX_N
+
+
 class TestLayerKernelAgainstFloyd:
     @settings(max_examples=300, deadline=None)
     @given(kernel_graphs)
     def test_per_vertex_quantities(self, g):
-        d = oracles.floyd_distances(g)
-        ecc = oracles.eccentricities(g)
-        vs = range(g.n)
-        for v in vs:
-            for u in vs:
-                if d[v, u] == math.inf:
-                    assert g.dist[v][u] is INF
-                else:
-                    assert g.dist[v][u] == d[v, u] and type(g.dist[v][u]) is int
-            assert g.ecc[v] == ecc[v]
-            assert (g.ecc[v] is INF) == (ecc[v] == math.inf)
-            assert eccentric_set(g, v) == {u for u in vs if d[v, u] == ecc[v]}
-            for t in range(-1, g.n + 1):
-                assert g.ball_masks(t)[v] == _mask(u for u in vs if d[v, u] <= t)
-                assert g.far_masks(t)[v] == _mask(u for u in vs if d[v, u] >= t)
-        assert g.is_connected == all(e != math.inf for e in ecc)
+        assert_metrics_match_floyd(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph(1), Graph(2), Graph.path(2),
+        chorded_pieces(CUTOFF), chorded_pieces(CUTOFF + 1),
+        Graph.path(CUTOFF), Graph.path(CUTOFF + 1),
+        Graph.cycle(CUTOFF), Graph.cycle(CUTOFF + 1),
+        Graph(CUTOFF), Graph(CUTOFF + 1),
+    ], ids=lambda g: f"n{g.n}m{g.m}")
+    def test_both_searches_at_the_cutoff(self, g):
+        assert_metrics_match_floyd(g)
+        packed = isinstance(vars(g)["_layers"], graphs.PackedLayers)
+        assert packed == (g.n <= CUTOFF)
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_graphs, st.data())

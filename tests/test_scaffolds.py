@@ -310,6 +310,44 @@ def scaffold_cases(draw):
     return build_refined_scaffold(c, p, rc), claimed, p
 
 
+class TestBuildersMatchLiteral:
+    """The builders assemble their shape-only parts once per shape; the
+    graphs and roles they give stay those of the literal edge lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_builders_match_literal_edge_lists(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs)), label="edges")) if pairs else []
+        named = data.draw(st.booleans(), label="labelled")
+        p = Graph(n, edges, [f"p{v}" for v in range(n)] if named else None)
+        c = data.draw(st.sampled_from(CENTERS + (Graph(2, [(0, 1)], ["a", "b"]),)), label="c")
+        k = data.draw(st.integers(1, 4), label="k")
+        patterns = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n, max_size=n))
+        blocks = tuple(frozenset(v for v in range(n) if patterns[v] >> i & 1) for i in range(k))
+        cov = Covering(p, tuple(b for b in blocks if b))
+
+        def same(s, literal):
+            size, edges, labels, roles = literal
+            assert s.graph == Graph(size, edges, labels) and s.graph.labels == tuple(labels)
+            assert s.roles == tuple(roles)
+
+        for rho in (1, 2, 3):
+            for r in range(rho + 1):
+                for drop in itertools.combinations(range(1, rho + 1), r):
+                    same(build_scaffold(c, p, cov, rho, drop),
+                         oracles.layered_scaffold(c, p, cov.blocks, rho, drop))
+        iota = data.draw(st.integers(0, cov.k - 1), label="iota")
+        block = sorted(cov.blocks[iota])
+        sides = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(block),
+                                   max_size=len(block)), label="split")
+        q0 = frozenset(v for v, x in zip(block, sides) if x & 1) or frozenset(block[:1])
+        q1 = frozenset(v for v, x in zip(block, sides) if x & 2)
+        same(build_refined_scaffold(c, p, RefinedCovering(cov, iota, q0, q1)),
+             oracles.refined_scaffold(c, p, cov.blocks, iota, q0, q1))
+
+
 class TestVerifyAgainstLiteral:
     @settings(max_examples=300, deadline=None)
     @given(scaffold_cases())
@@ -321,7 +359,8 @@ class TestVerifyAgainstLiteral:
 
 class TestLazyViews:
     """Verification compares masks: it runs the distance kernel but reads
-    no distance row and builds no vertex-set view of the analysis."""
+    only eccentricities and eccentric sets, so it unpacks no layers,
+    builds no distance row and no vertex-set view of the analysis."""
 
     VIEWS = {"center", "centered_periphery", "intermediate", "ec_map", "strata"}
 
@@ -338,19 +377,21 @@ class TestLazyViews:
         return seen
 
     def built(self, a):
-        """The distance rows of the analyzed graph and the views of the
-        analysis that have been built."""
-        rows = [v for v, row in enumerate(a.graph.dist._rows) if row is not None]
-        return rows, set(vars(a)) & self.VIEWS
+        """The distance rows of the analyzed graph, whether its layers
+        were unpacked, and the views of the analysis that have been
+        built."""
+        g = a.graph
+        rows = [v for v, row in enumerate(g.dist._rows) if row is not None]
+        return rows, "layers" in vars(g), set(vars(a)) & self.VIEWS
 
     def test_verify_builds_no_row_and_no_view(self, analyses, k2):
         p, cov = two_k1_cover()
         s = build_scaffold(k2, p, cov, 2)
         assert verify_construction(s, k2, p).ok
         assert [a.graph for a in analyses] == [s.graph]
-        assert self.built(analyses[0]) == ([], set())
+        assert self.built(analyses[0]) == ([], False, set())
 
     def test_appendage_number_builds_no_row_and_no_view(self, analyses, k2):
         assert U.appendage_number(k2, U.named_graph("2k2")).value == 2
         assert analyses
-        assert all(self.built(a) == ([], set()) for a in analyses)
+        assert all(self.built(a) == ([], False, set()) for a in analyses)
