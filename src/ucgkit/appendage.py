@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, permutations
+from itertools import chain, combinations_with_replacement
 
 from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, Unknown, cov_A,
                         decide_bound, iter_covering_witnesses, singleton_witness,
                         two_block_fact)
-from .errors import BoundExceededError, InternalCheckError
+from .errors import BoundExceededError, DomainError, InternalCheckError
 from .graphs import INF, Graph, MetricProfile, json_number, metric_profile
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
                         build_scaffold, verify_construction)
@@ -272,16 +272,17 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     For each t the free edge slots are all pairs except those inside c
     and inside p, whose edges are fixed; the nominal count is
     f(t) = |C||P| + t(|C|+|P|) + t(t-1)/2 and every tried t must satisfy
-    f(t) <= bound.  Two sound reductions: edge sets differing only by a
-    permutation of the added vertices are enumerated once (a free-edge
-    mask is tried only if no permutation maps it to a smaller mask, each
-    image read from per-byte lookup tables), and for t >= 1
-    no center-periphery edge can occur (such an edge would force the
-    common center eccentricity to 1, putting the added vertices into the
-    eccentric set of every central vertex, which the periphery must
-    equal).  Each tried host is one packed integer (row u at bits
-    [u*n, (u+1)*n)): the fixed edges plus, per byte of the mask, a
-    lookup-table entry holding that byte's free edges.  Acceptance walks
+    f(t) <= bound.  Two sound reductions.  For t >= 1 no center-periphery
+    edge can occur (such an edge would force the common center
+    eccentricity to 1, putting the added vertices into the eccentric set
+    of every central vertex, which the periphery must equal).  And the
+    added vertices' attachment columns (each one's neighbors in c and p)
+    are tried in sorted order only, under every added-added edge set:
+    acceptance treats the added vertices alike, so permuting them to sort
+    their columns maps every host to a tried one.  Each tried host is one
+    packed integer (row u at bits [u*n, (u+1)*n)): the fixed edges plus
+    one table entry per byte of the added-added (for t = 0, the
+    center-periphery) edge mask and one per column.  Acceptance walks
     the host from scratch with its own breadth-first search, independent
     of the kernel it checks: every c-vertex must see exactly the
     p-vertices as its eccentric set, at one common eccentricity r*, and
@@ -291,6 +292,8 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
 
     Returns the minimal accepting t, or None if all t <= t_max fail.
     """
+    if t_max < 0:
+        raise DomainError(f"t_max must be >= 0, got {t_max}")
     nc, np_ = c.n, p.n
     for t in range(t_max + 1):
         f = nc * np_ + t * (nc + np_) + t * (t - 1) // 2
@@ -303,62 +306,45 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     return None
 
 
-def _oracle_frame(nc: int, np_: int, t: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """The oracle's free edge slots for t added vertices, as (u, v) pairs
-    with u < v (bit i of a free-edge mask is pair i), and, for each
-    non-identity permutation of the added vertices, the pair index each
-    pair maps to."""
-    n = nc + np_ + t
-    if t == 0:
-        pairs = [(u, v + nc) for u in range(nc) for v in range(np_)]
+def _subset_table(values: list[int]) -> list[int]:
+    """Entry b is the union of ``values[i]`` over the set bits i of b,
+    built incrementally."""
+    tab = [0] * (1 << len(values))
+    for b in range(1, len(tab)):
+        low = b & -b
+        tab[b] = tab[b ^ low] | values[low.bit_length() - 1]
+    return tab
+
+
+def _oracle_hosts(nc: int, np_: int, t: int):
+    """The free edges of each host the oracle tries, packed (row u at bits
+    [u*n, (u+1)*n)).  For t = 0 every subset of the C-P pairs.  For
+    t >= 1, for each added-added edge mask in increasing order, each
+    non-decreasing tuple of attachment columns (added vertex x's
+    neighbors in C and P, one table entry per column)."""
+    m, n = nc + np_, nc + np_ + t
+    added = range(m, n)
+
+    def edge(u, v):
+        return 1 << (u * n + v) | 1 << (v * n + u)
+
+    if t:
+        pairs = [(x, y) for x in added for y in added if x < y]
+        parts = [_subset_table([edge(b, x) for b in range(m)]) for x in added]
     else:
-        w = range(nc + np_, n)
-        pairs = [(u, x) for u in range(nc) for x in w]
-        pairs += [(v, x) for v in range(nc, nc + np_) for x in w]
-        pairs += [(x, y) for x in w for y in w if x < y]
-
-    perm_maps = []
-    if t >= 2:
-        index = {pq: i for i, pq in enumerate(pairs)}
-        ids = list(range(nc + np_, n))
-        for perm in permutations(ids):
-            if perm == tuple(ids):
-                continue
-            sigma = dict(zip(ids, perm))
-            perm_maps.append([index[tuple(sorted((sigma.get(u, u), sigma.get(v, v))))]
-                              for u, v in pairs])
-    return pairs, perm_maps
-
-
-def _byte_tables(values: list[int]) -> list[list[int]]:
-    """One table per byte of a mask over ``values``: entry b of table j is
-    the union of ``values[8j + i]`` over the set bits i of b.  For values
-    that are disjoint bit sets, a mask's union is the sum of its bytes'
-    entries."""
-    tabs = []
-    for j in range(0, len(values), 8):
-        tab = [0] * (1 << min(8, len(values) - j))
-        for b in range(1, len(tab)):
-            low = b & -b
-            tab[b] = tab[b ^ low] | values[j + low.bit_length() - 1]
-        tabs.append(tab)
-    return tabs
-
-
-def _leader_masks(nf: int, perm_maps: list[list[int]]):
-    """The little-endian bytes of each mask below 2**nf that no
-    permutation in ``perm_maps`` maps below itself, in increasing order:
-    one lex-leader per orbit, each image read from ``_byte_tables``."""
-    nbytes = (nf + 7) // 8
-    tables = [_byte_tables([1 << q for q in pm]) for pm in perm_maps]
+        pairs = [(u, v) for u in range(nc) for v in range(nc, m)]
+    # one table per byte of the edge mask: the edges are disjoint bit
+    # sets, so a mask's edges are the sum of its bytes' entries
+    edges = [edge(u, v) for u, v in pairs]
+    tabs = [_subset_table(edges[j:j + 8]) for j in range(0, len(edges), 8)]
     getitem = list.__getitem__
-    for mask in range(1 << nf):
-        chunks = mask.to_bytes(nbytes, "little")
-        for tabs in tables:
-            if sum(map(getitem, tabs, chunks)) < mask:
-                break
-        else:
-            yield chunks
+    for mask in range(1 << len(pairs)):
+        base = sum(map(getitem, tabs, mask.to_bytes(len(tabs), "little")))
+        if not t:
+            yield base
+            continue
+        for cols in combinations_with_replacement(range(1 << m), t):
+            yield base + sum(map(getitem, parts, cols))
 
 
 def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
@@ -367,12 +353,8 @@ def _oracle_try_t(c: Graph, p: Graph, t: int) -> bool:
     p_mask = ((1 << np_) - 1) << nc
     rows = list(c.adj_masks) + [m << nc for m in p.adj_masks]
     host0 = sum(row << (i * n) for i, row in enumerate(rows))
-    pairs, perm_maps = _oracle_frame(nc, np_, t)
-    # each pair's edge in the packed host (row u at bits [u*n, (u+1)*n))
-    tabs = _byte_tables([1 << (u * n + v) | 1 << (v * n + u) for u, v in pairs])
-    getitem = list.__getitem__
-    return any(_accepts(host0 + sum(map(getitem, tabs, chunks)), nc, n, p_mask)
-               for chunks in _leader_masks(len(pairs), perm_maps))
+    return any(_accepts(host0 + free, nc, n, p_mask)
+               for free in _oracle_hosts(nc, np_, t))
 
 
 def _accepts(host: int, nc: int, n: int, p_mask: int) -> bool:

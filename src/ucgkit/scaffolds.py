@@ -57,11 +57,11 @@ class Scaffold:
 
     @property
     def center_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r == CENTER)
+        return _role_sets(self.roles)[0]
 
     @property
     def periphery_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r == PERIPHERY)
+        return _role_sets(self.roles)[1]
 
     @property
     def spine_vertices(self) -> tuple[int, ...]:
@@ -91,6 +91,15 @@ class VerificationReport:
                 "periphery_matches": self.periphery_matches,
                 "radius": json_number(self.radius),
                 "intermediate_count": self.intermediate_count, "ok": self.ok}
+
+
+@lru_cache(maxsize=256)
+def _role_sets(roles: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """The center vertices, the periphery vertices, and their two masks;
+    the builders share one roles tuple per shape."""
+    ctr = tuple(v for v, r in enumerate(roles) if r == CENTER)
+    per = tuple(v for v, r in enumerate(roles) if r == PERIPHERY)
+    return ctr, per, mask_of(ctr), mask_of(per)
 
 
 @lru_cache(maxsize=64)
@@ -215,10 +224,9 @@ def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:
     """
     g = s.graph
     a = ucg_analysis(g)
-    ctr = s.center_vertices
-    per = s.periphery_vertices
-    center_matches = a.center_mask == mask_of(ctr) and _induced_equals(g, ctr, c)
-    periphery_matches = a.cp_mask == mask_of(per) and _induced_equals(g, per, p)
+    ctr, per, ctr_mask, per_mask = _role_sets(s.roles)
+    center_matches = a.center_mask == ctr_mask and _induced_equals(g, ctr, c)
+    periphery_matches = a.cp_mask == per_mask and _induced_equals(g, per, p)
     return VerificationReport(
         is_ucg=a.is_ucg,
         center_matches=center_matches,

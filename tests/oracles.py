@@ -242,6 +242,24 @@ def ucg_host_accepts(g: Graph, nc: int, np_: int) -> bool:
             and all(ecc[v] > r for v in range(nc, g.n)))
 
 
+def oracle_host_exists(c: Graph, p: Graph, t: int) -> bool:
+    """Whether some graph on c, then p, then t added vertices, keeping the
+    edges of c and p and taking any subset of every other pair, passes
+    ``ucg_host_accepts``: a walk over every free-edge subset, with no
+    symmetry or edge reduction.  Bit i of the walked mask is free pair
+    i: the pairs of each added vertex with the vertices before it first,
+    the center-periphery pairs last, which decides only how soon an
+    accepting subset is met."""
+    nc, np_ = c.n, p.n
+    n = nc + np_ + t
+    fixed = [*c.edges, *[(u + nc, v + nc) for u, v in p.edges]]
+    free = [(u, x) for x in range(nc + np_, n) for u in range(x)]
+    free += [(u, v) for u in range(nc) for v in range(nc, nc + np_)]
+    return any(ucg_host_accepts(Graph(n, fixed + [pq for i, pq in enumerate(free)
+                                                  if mask >> i & 1]), nc, np_)
+               for mask in range(1 << len(free)))
+
+
 # --- witness verification -------------------------------------------------------
 
 def verification_report(g: Graph, roles, c: Graph, p: Graph) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -5,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import ucgkit as U
-from ucgkit import (INF, BoundExceededError, Graph, Unknown,
+from ucgkit import (INF, BoundExceededError, DomainError, Graph, Unknown,
                     appendage_center_only, appendage_number,
                     appendage_periphery_only, brute_force_appendage,
                     gen_P_alpha, gen_P_alpha_beta, verify_construction)
-from ucgkit.appendage import _accepts, _byte_tables, _leader_masks, _oracle_frame
+from ucgkit.appendage import _accepts, _oracle_hosts, _oracle_try_t
 
 
 @pytest.fixture
@@ -187,6 +188,52 @@ def _split_hosts(draw):
     return Graph(n, edges), nc, np_
 
 
+@st.composite
+def _oracle_cases(draw):
+    """(c, p, t) with at most 12 free edges, f(t) = |C||P| + t(|C|+|P|) +
+    t(t-1)/2: random c on 1 to 3 vertices and p on 1 to 4."""
+    def graph(n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    c, p = graph(draw(st.integers(1, 3))), graph(draw(st.integers(1, 4)))
+    f = [t for t in range(4) if c.n * p.n + t * (c.n + p.n) + t * (t - 1) // 2 <= 12]
+    return c, p, draw(st.sampled_from(f))
+
+
+def _frame_pairs(nc, np_, t):
+    """The pairs a host of t added vertices may join: C-P for t = 0, else
+    each vertex of C, then of P, with each added vertex, then the added
+    pairs."""
+    n = nc + np_ + t
+    if t == 0:
+        return [(u, v + nc) for u in range(nc) for v in range(np_)]
+    w = range(nc + np_, n)
+    return ([(u, x) for u in range(nc + np_) for x in w]
+            + [(x, y) for x in w for y in w if x < y])
+
+
+def _free_mask(host, pairs, n):
+    """The mask over ``pairs`` of a packed host's edges; the host must
+    hold nothing else."""
+    mask = sum(1 << i for i, (u, v) in enumerate(pairs) if host >> (u * n + v) & 1)
+    assert host == sum(1 << (u * n + v) | 1 << (v * n + u)
+                       for i, (u, v) in enumerate(pairs) if mask >> i & 1)
+    return mask
+
+
+def _orbit_minimum(mask, pairs, added):
+    """The least free-edge mask that a permutation of ``added`` maps
+    ``mask`` to."""
+    index = {pq: i for i, pq in enumerate(pairs)}
+    best = mask
+    for perm in itertools.permutations(added):
+        sigma = dict(zip(added, perm))
+        image = sum(1 << index[tuple(sorted((sigma.get(u, u), sigma.get(v, v))))]
+                    for i, (u, v) in enumerate(pairs) if mask >> i & 1)
+        best = min(best, image)
+    return best
+
+
 def _accepts_agrees(g, nc, np_):
     """Assert that ``_accepts`` on g's packed host gives the literal
     verdict, and return that verdict."""
@@ -220,22 +267,41 @@ class TestBruteForce:
     def test_general_center_path_refuted_through_two(self, p3):
         assert brute_force_appendage(p3, Graph.path(4), 2, bound=30) is None
 
-    # (|C|, |P|, t): t <= 1 keeps every mask; 2 to 15 free edges, none a
-    # multiple of the 8-bit table width
+    # (|C|, |P|, t): 2 to 15 free edges, t from 0 to 3
     @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (2, 2, 1), (3, 4, 1), (2, 2, 2),
                                           (1, 4, 2), (1, 2, 3), (2, 2, 3)])
     def test_leader_masks_match_literal_orbit_minima(self, nc, np_, t):
-        pairs, perm_maps = _oracle_frame(nc, np_, t)
+        # the orbits the hosts reach are exactly the literal orbits
+        pairs = _frame_pairs(nc, np_, t)
         added = range(nc + np_, nc + np_ + t)
-        got = [int.from_bytes(c, "little") for c in _leader_masks(len(pairs), perm_maps)]
-        assert got == list(oracles.orbit_leader_masks(pairs, added))
+        masks = [_free_mask(h, pairs, nc + np_ + t) for h in _oracle_hosts(nc, np_, t)]
+        leaders = list(oracles.orbit_leader_masks(pairs, added))
+        assert {_orbit_minimum(m, pairs, added) for m in masks} == set(leaders)
         if t <= 1:
-            assert got == list(range(1 << len(pairs)))
+            assert masks == list(range(1 << len(pairs)))
 
     def test_leader_masks_count_for_p3_two_isolated(self):
-        pairs, perm_maps = _oracle_frame(3, 2, 3)
+        # 262,144 free-edge masks in 45,760 orbits, tried as 47,872 hosts
+        pairs = _frame_pairs(3, 2, 3)
         assert len(pairs) == 18
-        assert sum(1 for _ in _leader_masks(len(pairs), perm_maps)) == 45_760
+        masks = [_free_mask(h, pairs, 8) for h in _oracle_hosts(3, 2, 3)]
+        assert len(masks) == 47_872
+        assert len({_orbit_minimum(m, pairs, range(5, 8)) for m in masks}) == 45_760
+
+    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3)])
+    def test_hosts_touch_no_fixed_slot(self, nc, np_, t):
+        # no edge inside C, inside P or on the diagonal, and for t >= 1
+        # no C-P edge; every row agrees with its column
+        m, n = nc + np_, nc + np_ + t
+        slots = [(u, v) for u in range(n) for v in range(n)
+                 if u == v or u < nc and v < nc or nc <= u < m and nc <= v < m
+                 or t and (u < nc <= v < m or v < nc <= u < m)]
+        fixed = sum(1 << (u * n + v) for u, v in slots)
+        for host in _oracle_hosts(nc, np_, t):
+            assert host & fixed == 0
+            rows = [host >> (u * n) & (1 << n) - 1 for u in range(n)]
+            assert all(rows[u] >> v & 1 == rows[v] >> u & 1
+                       for u in range(n) for v in range(n))
 
     def test_refutes_what_the_engine_puts_past_t_max(self, k2, p3):
         for c, p, tmax, bound in [(k2, Graph.cycle(5), 2, 30), (k2, Graph.path(5), 2, 30),
@@ -243,21 +309,48 @@ class TestBruteForce:
             assert brute_force_appendage(c, p, tmax, bound=bound) is None
             assert appendage_number(c, p).value > tmax  # 4, 3 and 8
 
-    # 2, 7, 11 and 15 free edges: one to two table bytes, a short last one
-    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3)])
+    # 2 to 9 C-P pairs at t = 0 (one to two table bytes, a short last
+    # one); columns over 2 to 9 vertices, a table wider than a byte;
+    # 0 to 6 added-added pairs
+    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3),
+                                          (3, 3, 0), (3, 6, 1), (1, 1, 4)])
     def test_host_tables_match_the_bit_walk(self, nc, np_, t):
-        n = nc + np_ + t
-        pairs, _ = _oracle_frame(nc, np_, t)
-        tabs = _byte_tables([1 << (u * n + v) | 1 << (v * n + u) for u, v in pairs])
-        for mask in range(1 << len(pairs)):
-            host = sum(map(list.__getitem__, tabs, mask.to_bytes(len(tabs), "little")))
-            rows = [0] * n
-            for i, (u, v) in enumerate(pairs):
-                if mask >> i & 1:
+        # the hosts, in order: for each added-added edge mask, each sorted
+        # column tuple, every edge set bit by bit
+        m, n = nc + np_, nc + np_ + t
+        added = range(m, n)
+        if t:
+            outer = [(x, y) for x in added for y in added if x < y]
+            inner = list(itertools.combinations_with_replacement(range(1 << m), t))
+        else:
+            outer, inner = [(u, v) for u in range(nc) for v in range(nc, m)], [()]
+        expect = []
+        for mask in range(1 << len(outer)):
+            for cols in inner:
+                edges = [pq for i, pq in enumerate(outer) if mask >> i & 1]
+                edges += [(b, x) for x, col in zip(added, cols) for b in range(m)
+                          if col >> b & 1]
+                rows = [0] * n
+                for u, v in edges:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-            assert [host >> (u * n) & (1 << n) - 1 for u in range(n)] == rows
-            assert host >> (n * n) == 0
+                expect.append(rows)
+        got = [[h >> (u * n) & (1 << n) - 1 for u in range(n)] for h in _oracle_hosts(nc, np_, t)]
+        assert got == expect
+        assert all(h >> (n * n) == 0 for h in _oracle_hosts(nc, np_, t))
+
+    def test_negative_t_max_is_a_domain_error(self, k2):
+        with pytest.raises(DomainError):
+            brute_force_appendage(k2, Graph.empty(2), -1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_oracle_cases())
+    # the two accepting cases of this class: (K2, 2K2) at t = 2 and, at
+    # bound 30, (K2, P4) at t = 3
+    @example((Graph.complete(2), Graph(4, [(0, 1), (2, 3)]), 2))
+    @example((Graph.complete(2), Graph.path(4), 3))
+    def test_try_t_matches_the_literal_subset_walk(self, case):
+        assert _oracle_try_t(*case) == oracles.oracle_host_exists(*case)
 
     @settings(max_examples=400, deadline=None)
     @given(_split_hosts())
