@@ -300,7 +300,6 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
         if f > bound:
             raise BoundExceededError(
                 f"oracle needs f({t})={f} free edges, bound is {bound}")
-    for t in range(t_max + 1):
         if _oracle_try_t(c, p, t):
             return t
     return None

@@ -7,15 +7,14 @@ convention the rest of the package relies on: the distance from an empty
 set is infinite, and every ``distance >= t`` threshold is met by infinity.
 
 A graph stores its adjacency as one bitmask per vertex and nothing else.
-Every metric quantity comes from one all-pairs search, ``Graph.dist``,
-run once per graph and cached on the instance.  Up to
-``PACKED_BFS_MAX_N`` vertices it is one breadth-first search from every
-source at once over n packed fields (``all_sources_bfs``); above that it
-runs ``bfs_layers``, which grows the distance layers of one source set,
-once per vertex.  Either way it stores the reach masks, eccentricities
-and eccentric sets as masks.  The per-vertex layers, the balls and the
-distance matrix are read off what it stored, each the first time it is
-read.  Graphs are immutable, so the caches can never go stale.
+Every metric quantity comes from one all-pairs search, run once per graph
+the first time ``layers``, ``ecc`` or ``ecc_masks`` is read, which stores
+all three on the instance.  Up to ``PACKED_BFS_MAX_N`` vertices it is one
+breadth-first search from every source at once over n packed fields
+(``all_sources_bfs``), whose packed levels are kept as the layers and cut
+per vertex when read; above that it runs ``bfs_layers``, which grows the
+distance layers of one source set, once per vertex.  The balls are read
+off the layers.  Graphs are immutable, so the caches can never go stale.
 """
 
 from __future__ import annotations
@@ -60,11 +59,7 @@ class _FromDist:
     """A per-graph result of the distance search, as a lock-free
     non-data descriptor: the first read runs ``dist``, which writes the
     result into the instance dict, where every later read finds it
-    without reaching this descriptor.  ``unpack(g)`` builds a result that
-    ``dist`` does not write itself, and is kept there too."""
-
-    def __init__(self, unpack=None):
-        self.unpack = unpack
+    without reaching this descriptor."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -73,10 +68,7 @@ class _FromDist:
         if g is None:
             return self
         g.dist
-        d = g.__dict__
-        if self.name not in d:
-            d[self.name] = self.unpack(g)
-        return d[self.name]
+        return g.__dict__[self.name]
 
 
 class Graph:
@@ -184,45 +176,40 @@ class Graph:
     # -- distances -------------------------------------------------------------
 
     @cached_property
-    def dist(self) -> DistanceRows:
-        """The distance matrix, as rows read off the layers on demand.
+    def dist(self) -> None:
+        """Run the all-pairs search, write ``layers``, ``ecc`` and
+        ``ecc_masks`` into the instance dict, and return ``None``.
 
-        The all-pairs search happens here, once per graph, so that timing
-        ``dist`` times the distance kernel (``perfbench`` traces it).  It
-        writes ``reach_masks``, ``ecc`` and ``ecc_masks`` into the
-        instance dict, which every other metric reads.
+        It stays a cached property only because ``perfbench`` times the
+        distance kernel by tracing it; ROADMAP item 1 deletes it once the
+        tracer times ``layers``.  It returns ``None``, not the layers, so
+        that a reader indexing it as a distance matrix fails loudly.
 
         Up to ``PACKED_BFS_MAX_N`` vertices, ``all_sources_bfs`` searches
-        from every source at once, so a graph costs n multiplies per BFS
-        level plus 3n shifts to unpack the three results, and it keeps
-        only the packed levels: ``layers`` and each row are cut out of
-        them when first read.  Above the cutoff the packed integers grow
-        as n^2 bits and the search is slower than one ``bfs_layers`` per
-        source, which runs instead and keeps its layers.  No row is filled
-        until it is indexed.
+        from every source at once, at n multiplies per BFS level plus 3n
+        shifts, and ``layers`` is a ``PackedLayers`` view of its levels.
+        Above the cutoff the packed integers grow as n^2 bits and one
+        ``bfs_layers`` per source, which runs instead, is faster.
         """
         n, d = self.n, self.__dict__
         full = (1 << n) - 1
         if n <= PACKED_BFS_MAX_N:
             levels, seen, depth, last = all_sources_bfs(self.adj_masks)
             shifts = range(0, n * (n + 1), n + 1)
-            reach = tuple([seen >> s & full for s in shifts])
+            reach = [seen >> s & full for s in shifts]
             depths = [depth >> s & full for s in shifts]
             lasts = [last >> s & full for s in shifts]
             layers = PackedLayers(levels, n)
         else:
             runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(n)]
             layers = tuple([tuple(ls) for ls, _ in runs])
-            reach = tuple([seen for _, seen in runs])
+            reach = [seen for _, seen in runs]
             depths = [len(ls) - 1 for ls in layers]
             lasts = [ls[-1] for ls in layers]
-        d["_layers"], d["reach_masks"] = layers, reach
+        d["layers"] = layers
         d["ecc"] = tuple([e if r == full else INF for e, r in zip(depths, reach)])
         d["ecc_masks"] = tuple([m if r == full else full & ~r for m, r in zip(lasts, reach)])
-        return DistanceRows(layers)
 
-    #: Per vertex v, the mask of the vertices v reaches.
-    reach_masks = _FromDist()
     #: Eccentricities; a vertex that misses some vertex has infinite
     #: eccentricity.
     ecc = _FromDist()
@@ -230,8 +217,9 @@ class Graph:
     #: vertices it does not reach when its eccentricity is infinite.
     ecc_masks = _FromDist()
     #: Per vertex v, the masks of the vertices at distance 0, 1, .. from
-    #: v, up to v's last nonempty layer.
-    layers = _FromDist(lambda g: tuple(g.__dict__["_layers"]))
+    #: v, up to v's last nonempty layer: a ``PackedLayers`` view up to
+    #: ``PACKED_BFS_MAX_N`` vertices, a tuple of tuples above it.
+    layers = _FromDist()
 
     def ball_masks(self, t: int) -> tuple[int, ...]:
         """Masks of the closed t-neighborhoods N_t[v]: the union of the
@@ -266,33 +254,6 @@ class Graph:
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels else str(v)
-
-
-class DistanceRows(Sequence):
-    """A read-only distance matrix: row v is the tuple of distances from v,
-    each an ``int`` or ``INF``, built from v's layers the first time it
-    is read and kept."""
-
-    __slots__ = ("_layers", "_rows")
-
-    def __init__(self, layers: Sequence[Sequence[int]]):
-        self._layers = layers
-        self._rows: list[tuple[Dist, ...] | None] = [None] * len(layers)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, v: int | slice):
-        if isinstance(v, slice):
-            return tuple(self[u] for u in range(len(self._rows))[v])
-        row = self._rows[v]
-        if row is None:
-            cells: list[Dist] = [INF] * len(self._rows)
-            for d, layer in enumerate(self._layers[v]):
-                for u in bits(layer):
-                    cells[u] = d
-            row = self._rows[v] = tuple(cells)
-        return row
 
 
 class PackedLayers(Sequence):

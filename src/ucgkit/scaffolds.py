@@ -56,14 +56,6 @@ class Scaffold:
     roles: tuple[str, ...]
 
     @property
-    def center_vertices(self) -> tuple[int, ...]:
-        return _role_sets(self.roles)[0]
-
-    @property
-    def periphery_vertices(self) -> tuple[int, ...]:
-        return _role_sets(self.roles)[1]
-
-    @property
     def spine_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, r in enumerate(self.roles)
                      if r not in (CENTER, PERIPHERY))

@@ -257,8 +257,13 @@ class TestBruteForce:
         with pytest.raises(BoundExceededError):
             brute_force_appendage(k2, Graph.path(4), 3)
 
+    def test_accepting_t_before_the_bound_is_returned(self, k2):
+        # f(3) = 29 free edges is past the default bound of 24, but t = 2
+        # (f(2) = 21) accepts first
+        assert brute_force_appendage(k2, U.named_graph("2k2"), 3) == 2
+
     def test_general_center_refuted_through_three(self, p3):
-        # the engine says 4; f(4) = 26 free edges is past the default bound
+        # the engine says 4; f(4) = 32 free edges is past the default bound
         assert brute_force_appendage(p3, Graph.empty(2), 3) is None
 
     def test_complete_center_path_at_three(self, k2):

@@ -159,6 +159,12 @@ class TestOracle:
                             "--tmax", "2"])
         assert code == 0 and report["result"]["value"] == 2
 
+    def test_tmax_past_the_bound_after_an_accepting_t(self):
+        # t = 3 is past the default bound, but t = 2 accepts first
+        report, code = run(["oracle", "--center", "k2", "--periphery", "2k2",
+                            "--tmax", "3"])
+        assert code == 0 and report["result"]["value"] == 2
+
     def test_infeasible_periphery(self):
         report, code = run(["oracle", "--center", "k2", "--periphery", "k1_3",
                             "--tmax", "1"])

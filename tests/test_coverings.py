@@ -108,8 +108,7 @@ class TestConditionCheckers:
             if min(g.ecc) >= 2:
                 candidates.append(singleton_covering(g))
             if not g.is_connected:
-                comp = frozenset(v for v in range(g.n)
-                                 if g.dist[0][v] != U.INF)
+                comp = frozenset(bits(sum(g.layers[0])))
                 candidates.append(cover(g, comp, set(range(g.n)) - comp))
             for c in candidates:
                 if check_Aprime(c).passed and check_Bprime(c).passed:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -51,44 +52,47 @@ class TestConstruction:
         assert u.n == 4 and set(u.edges) == {(0, 1), (2, 3)}
 
 
+def layer_distance(g, u, v):
+    """d(u, v) read off u's layers: the index of the layer holding v, or
+    INF when no layer does."""
+    return next((d for d, layer in enumerate(g.layers[u]) if layer >> v & 1), INF)
+
+
 class TestDistances:
     def test_two_edge_path(self):
         g = Graph.path(3)
-        assert g.dist[0][2] == 2
+        assert layer_distance(g, 0, 2) == 2 == oracles.floyd_distances(g)[0, 2]
+        assert g.ecc[0] == 2
 
     def test_disconnected_pair_is_infinite(self):
         g = Graph.empty(2)
-        assert g.dist[0][1] == INF
+        assert layer_distance(g, 0, 1) is INF
+        assert oracles.floyd_distances(g)[0, 1] == math.inf
+        assert g.ecc == (INF, INF)
 
     def test_periphery_gap_fixture_distance(self):
         from ucgkit import periphery_gap_example
         g = periphery_gap_example().graph
         c = g.labels.index("c")
         p1 = g.labels.index("p1")
-        assert g.dist[c][p1] == 3
+        assert layer_distance(g, c, p1) == 3 == oracles.floyd_distances(g)[c, p1]
 
     def test_matrix_contract(self):
+        # symmetric with a zero diagonal, as read off the layers
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-        d = g.dist
         for u in range(5):
-            assert d[u][u] == 0
+            assert g.layers[u][0] == 1 << u
             for v in range(5):
-                assert d[u][v] == d[v][u]
-        assert d[0][3] == INF and d[2][0] == 2
-
-    def test_slice_gives_rows(self):
-        g = Graph.path(3)
-        assert g.dist[0:2] == ((0, 1, 2), (1, 0, 1))
-        assert g.dist[::-1] == (g.dist[2], g.dist[1], g.dist[0])
+                assert layer_distance(g, u, v) == layer_distance(g, v, u)
+        assert layer_distance(g, 0, 3) is INF and layer_distance(g, 2, 0) == 2
 
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy())
     def test_distances_match_floyd_warshall(self, g):
-        d = g.dist
         ref = oracles.floyd_distances(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert d[u][v] == ref[u, v]
+                assert layer_distance(g, u, v) == ref[u, v]
 
 
 def sparse_graph_strategy(max_n=10):
@@ -116,15 +120,9 @@ def assert_metrics_match_floyd(g):
     ecc = oracles.eccentricities(g)
     vs = range(g.n)
     for v in vs:
-        for u in vs:
-            if d[v, u] == math.inf:
-                assert g.dist[v][u] is INF
-            else:
-                assert g.dist[v][u] == d[v, u] and type(g.dist[v][u]) is int
         depth = max(x for x in (d[v, u] for u in vs) if x != math.inf)
         assert g.layers[v] == tuple(_mask(u for u in vs if d[v, u] == t)
                                     for t in range(depth + 1))
-        assert g.reach_masks[v] == _mask(u for u in vs if d[v, u] != math.inf)
         assert g.ecc[v] == ecc[v]
         assert (g.ecc[v] is INF) == (ecc[v] == math.inf)
         assert g.ecc_masks[v] == _mask(u for u in vs if d[v, u] == ecc[v])
@@ -161,7 +159,7 @@ class TestLayerKernelAgainstFloyd:
     ], ids=lambda g: f"n{g.n}m{g.m}")
     def test_both_searches_at_the_cutoff(self, g):
         assert_metrics_match_floyd(g)
-        packed = isinstance(vars(g)["_layers"], graphs.PackedLayers)
+        packed = isinstance(vars(g)["layers"], graphs.PackedLayers)
         assert packed == (g.n <= CUTOFF)
 
     @settings(max_examples=300, deadline=None)
@@ -211,6 +209,32 @@ class TestLayerKernelAgainstFloyd:
         assert a.intermediate == frozenset(bits(g.full_mask & ~(a.center_mask | a.cp_mask)))
         assert a.ec_map == {z: frozenset(bits(m)) for z, m in zip(sorted(a.center), a.ec_masks)}
         assert a.strata[0] == a.center
+
+
+class TestTracedSearch:
+    """``perfbench`` times the distance kernel by wrapping the function
+    of the ``Graph.dist`` cached property in a new cached property; these
+    tests pin what that wrapping relies on."""
+
+    def test_dist_is_a_cached_property(self):
+        assert isinstance(Graph.__dict__["dist"], functools.cached_property)
+
+    @pytest.mark.parametrize("n", [5, CUTOFF + 1])
+    def test_metrics_run_dist_once_and_store_no_matrix(self, monkeypatch, n):
+        calls = []
+        search = Graph.__dict__["dist"].func
+
+        def counted(g):
+            calls.append(g)
+            return search(g)
+        traced = functools.cached_property(counted)
+        traced.__set_name__(Graph, "dist")
+        monkeypatch.setattr(Graph, "dist", traced)
+        g = Graph.cycle(n)
+        before = set(vars(g))
+        g.ecc, g.ecc_masks, g.layers, g.ecc, g.layers[0], metric_profile(g)
+        assert calls == [g] and g.dist is None
+        assert set(vars(g)) - before == {"dist", "layers", "ecc", "ecc_masks"}
 
 
 class TestMetricProfile:

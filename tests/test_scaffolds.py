@@ -359,8 +359,9 @@ class TestVerifyAgainstLiteral:
 
 class TestLazyViews:
     """Verification compares masks: it runs the distance kernel but reads
-    only eccentricities and eccentric sets, so it unpacks no layers,
-    builds no distance row and no vertex-set view of the analysis."""
+    only eccentricities and eccentric sets, so it builds no vertex-set
+    view of the analysis.  (The graph keeps no distance matrix, so no row
+    can be built either.)"""
 
     VIEWS = {"center", "centered_periphery", "intermediate", "ec_map", "strata"}
 
@@ -377,21 +378,17 @@ class TestLazyViews:
         return seen
 
     def built(self, a):
-        """The distance rows of the analyzed graph, whether its layers
-        were unpacked, and the views of the analysis that have been
-        built."""
-        g = a.graph
-        rows = [v for v, row in enumerate(g.dist._rows) if row is not None]
-        return rows, "layers" in vars(g), set(vars(a)) & self.VIEWS
+        """The views of the analysis that have been built."""
+        return set(vars(a)) & self.VIEWS
 
     def test_verify_builds_no_row_and_no_view(self, analyses, k2):
         p, cov = two_k1_cover()
         s = build_scaffold(k2, p, cov, 2)
         assert verify_construction(s, k2, p).ok
         assert [a.graph for a in analyses] == [s.graph]
-        assert self.built(analyses[0]) == ([], False, set())
+        assert self.built(analyses[0]) == set()
 
     def test_appendage_number_builds_no_row_and_no_view(self, analyses, k2):
         assert U.appendage_number(k2, U.named_graph("2k2")).value == 2
         assert analyses
-        assert all(self.built(a) == ([], False, set()) for a in analyses)
+        assert all(self.built(a) == set() for a in analyses)
