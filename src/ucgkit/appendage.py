@@ -39,7 +39,7 @@ from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, Unknown, cov_A
                         decide_bound, iter_covering_witnesses, singleton_witness,
                         two_block_fact)
 from .errors import BoundExceededError, DomainError, InternalCheckError
-from .graphs import INF, Graph, MetricProfile, json_number, metric_profile
+from .graphs import INF, Graph, MetricProfile, json_number, metric_profile, subset_table
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
                         build_scaffold, verify_construction)
 
@@ -305,16 +305,6 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     return None
 
 
-def _subset_table(values: list[int]) -> list[int]:
-    """Entry b is the union of ``values[i]`` over the set bits i of b,
-    built incrementally."""
-    tab = [0] * (1 << len(values))
-    for b in range(1, len(tab)):
-        low = b & -b
-        tab[b] = tab[b ^ low] | values[low.bit_length() - 1]
-    return tab
-
-
 def _oracle_hosts(nc: int, np_: int, t: int):
     """The free edges of each host the oracle tries, packed (row u at bits
     [u*n, (u+1)*n)).  For t = 0 every subset of the C-P pairs.  For
@@ -329,13 +319,13 @@ def _oracle_hosts(nc: int, np_: int, t: int):
 
     if t:
         pairs = [(x, y) for x in added for y in added if x < y]
-        parts = [_subset_table([edge(b, x) for b in range(m)]) for x in added]
+        parts = [subset_table([edge(b, x) for b in range(m)]) for x in added]
     else:
         pairs = [(u, v) for u in range(nc) for v in range(nc, m)]
     # one table per byte of the edge mask: the edges are disjoint bit
     # sets, so a mask's edges are the sum of its bytes' entries
     edges = [edge(u, v) for u, v in pairs]
-    tabs = [_subset_table(edges[j:j + 8]) for j in range(0, len(edges), 8)]
+    tabs = [subset_table(edges[j:j + 8]) for j in range(0, len(edges), 8)]
     getitem = list.__getitem__
     for mask in range(1 << len(pairs)):
         base = sum(map(getitem, tabs, mask.to_bytes(len(tabs), "little")))

@@ -52,16 +52,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on uniform central graphs.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, center=False, periphery=False):
+    def common(sp, center=False, periphery=False, bound=True):
         if center:
             sp.add_argument("--center", metavar="FILE_OR_TOKEN")
         if periphery:
             sp.add_argument("--periphery", metavar="FILE_OR_TOKEN")
         sp.add_argument("--json", metavar="PATH", dest="json_path")
-        sp.add_argument("--bound", type=_int_at_least(1), default=None)
+        if bound:
+            sp.add_argument("--bound", type=_int_at_least(1), default=None)
 
     sp = sub.add_parser("analyze", help="center / centered periphery / UCG test")
-    common(sp, periphery=True)
+    common(sp, periphery=True, bound=False)
     sp.add_argument("--dot", metavar="PATH")
 
     sp = sub.add_parser("cover", help="minimum covering sizes")
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=_int_at_least(0), default=2)
 
     sp = sub.add_parser("families", help="emit the fixture corpus")
-    common(sp)
+    common(sp, bound=False)
     sp.add_argument("--out", metavar="DIR", default="fixtures")
 
     return top
@@ -109,6 +110,13 @@ def _parse_conditions(text: str) -> frozenset[str]:
     if bad:
         raise MalformedInputError(f"unknown condition tokens: {bad}")
     return frozenset(_COND_TOKENS[t] for t in toks)
+
+
+def _refuse(args: argparse.Namespace, when: str, *options: str) -> None:
+    """Refuse the first of ``options`` given: the command ignores it ``when``."""
+    for name in options:
+        if getattr(args, name) not in (None, ""):
+            raise MalformedInputError(f"--{name} is ignored {when}")
 
 
 def run_command(argv: list[str],
@@ -158,6 +166,8 @@ def _cmd_analyze(args, inputs):
 def _cmd_cover(args, inputs):
     if not args.periphery:
         raise MalformedInputError("cover needs --periphery")
+    if not args.conditions:
+        _refuse(args, "without --conditions", "k")
     g = _load_graph(inputs, "periphery", args.periphery)
     if args.conditions:
         conds = _parse_conditions(args.conditions)
@@ -171,6 +181,8 @@ def _cmd_cover(args, inputs):
 
 
 def _cmd_append(args, inputs):
+    if not (args.center and args.periphery):
+        _refuse(args, "without both --center and --periphery", "bound")
     if args.center and args.periphery:
         c = _load_graph(inputs, "center", args.center)
         p = _load_graph(inputs, "periphery", args.periphery)
@@ -188,11 +200,15 @@ def _cmd_append(args, inputs):
 def _cmd_construct(args, inputs):
     if not (args.center and args.periphery):
         raise MalformedInputError("construct needs --center and --periphery")
+    conds = _parse_conditions(args.conditions or "")
+    if not args.conditions:
+        _refuse(args, "without --conditions", "k", "bound")
+    elif conds & {"A''", "B''"}:
+        _refuse(args, "when the conditions hold A'' or B''", "rho", "drop")
     c = _load_graph(inputs, "center", args.center)
     p = _load_graph(inputs, "periphery", args.periphery)
 
     if args.conditions:
-        conds = _parse_conditions(args.conditions)
         k = args.k if args.k is not None else 2
         dec = decide_cover_k(p, k, conds, args.bound)
         if not dec.found:

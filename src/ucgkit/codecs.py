@@ -24,9 +24,8 @@ def _check_order(n: int, what: str) -> None:
             f"{what} asks for {n} vertices, more than {MAX_INPUT_VERTICES}")
 
 
-def encode_graph6(g: Graph, header: bool = False) -> str:
-    chunks: list[str] = [">>graph6<<"] if header else []
-    chunks.append(_encode_n(g.n))
+def encode_graph6(g: Graph) -> str:
+    chunks = [_encode_n(g.n)]
     bits: list[int] = []
     for j in range(1, g.n):
         for i in range(j):
@@ -153,9 +152,9 @@ _ROLE_COLORS = {
 }
 
 
-def to_dot(g: Graph, roles: tuple[str, ...] | None = None, name: str = "ucg") -> str:
+def to_dot(g: Graph, roles: tuple[str, ...] | None = None) -> str:
     """DOT text with role-based fill colors (center/periphery/spine)."""
-    out = [f"graph {name} {{", "  node [style=filled, fillcolor=white];"]
+    out = ["graph ucg {", "  node [style=filled, fillcolor=white];"]
     for v in range(g.n):
         attrs = [f'label="{g.label_of(v)}"']
         if roles is not None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
-from .graphs import Graph, MetricProfile, bfs_layers, bits, mask_of, metric_profile
+from .graphs import Graph, MetricProfile, bits, mask_of, metric_profile, subset_table
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 
@@ -640,9 +640,7 @@ def _packed_tables(n: int, k: int):
     holding = [mask_of(pat for pat in range(1 << k) if pat >> i & 1) for i in range(k)]
     swapped = [holding[i + 1] & ~holding[i] for i in range(k - 1)]
     nonempty, no_block0 = every - 1, every & ~holding[0]
-    rep = [0]
-    for i in range(k):
-        rep += [r | 1 << i * w for r in rep]
+    rep = subset_table([1 << i * w for i in range(k)])
 
     def fold(op, table, start):
         return _Memo(lambda g: functools.reduce(
@@ -982,7 +980,7 @@ PROFILE_CONDS = {
 
 
 def _component_split(p: Graph) -> Covering:
-    comp = bfs_layers(p.adj_masks, 1)[1]
+    comp = sum(p.layers[0])
     return Covering(p, (frozenset(bits(comp)),
                         frozenset(bits(p.full_mask & ~comp))))
 

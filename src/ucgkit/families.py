@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .codecs import MAX_INPUT_VERTICES, encode_graph6
-from .coverings import Covering, RefinedCovering
+from .coverings import RefinedCovering, covering_from_json
 from .errors import DomainError
 from .graphs import Graph
 
@@ -115,22 +115,15 @@ def prism7_refined_cover() -> Fixture:
 
 def refined_cover_of(fx: Fixture) -> RefinedCovering:
     """Materialize the refined covering a fixture carries in its extras."""
-    ex = fx.extras
-    cov = Covering(fx.graph, tuple(frozenset(b) for b in ex["blocks"]))
-    return RefinedCovering(cov, ex["iota"], frozenset(ex["q0"]), frozenset(ex["q1"]))
+    return covering_from_json(fx.graph, fx.extras)
 
 
 # --------------------------------------------------------------------------
 # named-graph tokens (command-line shorthand) and the fixture registry
 
-#: Most vertices a named-graph token may ask for, the shared input cap;
-#: checked before anything is built, so ``k100000`` fails at once.
-MAX_TOKEN_VERTICES = MAX_INPUT_VERTICES
-
-
 def _copies(copies: int, size: int) -> Graph:
-    part = Graph.complete(size) if size > 1 else Graph.empty(1, labels=["0"])
-    return Graph.disjoint_union([part] * copies)
+    """``copies`` disjoint copies of K_size, unlabelled for every size."""
+    return Graph.disjoint_union([Graph.complete(size)] * copies)
 
 
 #: Token forms: (pattern, vertex count, builder), over the integer groups.
@@ -150,7 +143,8 @@ _TOKEN_FORMS = (
 def named_graph(token: str) -> Graph:
     """Resolve a shorthand token: k5, p4, c6, star3, 2k2, prism7,
     palpha3, palphabeta3_2, periphery_gap, prism7_cover.  A token asking
-    for more than ``MAX_TOKEN_VERTICES`` vertices raises ``DomainError``."""
+    for more than ``MAX_INPUT_VERTICES`` vertices raises ``DomainError``
+    before anything is built."""
     t = token.strip().lower()
     if t in _REGISTRY:
         return _REGISTRY[t]().graph
@@ -158,9 +152,9 @@ def named_graph(token: str) -> Graph:
         m = re.fullmatch(pattern, t)
         if m:
             args = [int(x) for x in m.groups()]
-            if size(*args) > MAX_TOKEN_VERTICES:
+            if size(*args) > MAX_INPUT_VERTICES:
                 raise DomainError(f"graph token {token!r} has {size(*args)} vertices,"
-                                  f" more than {MAX_TOKEN_VERTICES}")
+                                  f" more than {MAX_INPUT_VERTICES}")
             return build(*args)
     raise DomainError(f"unknown graph token: {token!r}")
 

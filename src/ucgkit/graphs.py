@@ -47,6 +47,15 @@ def mask_of(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in set(vertices))
 
 
+def subset_table(values: Sequence[int]) -> list[int]:
+    """Entry b is the union of ``values[i]`` over the set bits i of b."""
+    tab = [0] * (1 << len(values))
+    for b in range(1, len(tab)):
+        low = b & -b
+        tab[b] = tab[b ^ low] | values[low.bit_length() - 1]
+    return tab
+
+
 #: Graphs with at most this many vertices run ``all_sources_bfs``; larger
 #: ones run ``bfs_layers`` once per source.  The packed search costs n
 #: multiplies of n^2-bit integers per BFS level, so it loses first on long
@@ -153,9 +162,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.adj_masks[v].bit_count()
-
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -169,9 +175,10 @@ class Graph:
     def is_complete(self) -> bool:
         return self.closed_masks == (self.full_mask,) * self.n
 
-    @cached_property
+    @property
     def is_connected(self) -> bool:
-        return bfs_layers(self.adj_masks, 1)[1] == self.full_mask
+        """Whether vertex 0 reaches every vertex, by the all-pairs search."""
+        return self.ecc[0] != INF
 
     # -- distances -------------------------------------------------------------
 

@@ -1,16 +1,18 @@
 """Witness graphs gluing a prescribed center C to a prescribed centered
-periphery P through layers of spine vertices.
+periphery P through spine vertices, all laid out by one assembly: C,
+then P, then the spine vertices of the builder's frame, with covering
+block i joined to the frame's foot i.  The builders differ only in
+their frames and blocks:
 
-Three builders:
-
-* ``build_scaffold``: C and P joined by k+1 spine chains of length rho,
-  one chain per covering block plus one apex chain; chain i ends on
-  block P_i, every chain starts on all of C.  Optionally drops apex
-  chain vertices, which is how the tight witnesses arise.
-* ``build_refined_scaffold``: the depth-2 variant with single spine
-  vertices x_1..x_k and y_0..y_k, where block 1's attachment is split
-  between y_0 and y_1 according to a refined covering.
-* ``build_cone``: one apex adjacent to all of P.
+* ``build_scaffold``: k+1 spine chains of length rho, one per covering
+  block plus one apex chain; every chain starts on all of C, and chain
+  i's foot x_{i,rho} carries block P_i.  Optionally drops apex chain
+  vertices, which is how the tight witnesses arise.
+* ``build_refined_scaffold``: the depth-2 variant, x_1..x_k on C and
+  feet y_0..y_k carrying Q_0, Q_1 and then the other blocks in order,
+  so the refined block is split between y_0 and y_1.
+* ``build_cone``: C is one vertex, the apex, and the foot of its one
+  block, all of P.
 
 Builders never refuse structurally valid input: whether the result is a
 uniform central graph with the intended center and centered periphery is
@@ -47,9 +49,8 @@ def apex_role(j: int) -> str:
 class Scaffold:
     """A built graph plus the role each vertex plays.
 
-    Vertex labeling is canonical: the C block first, then the P block,
-    then spine vertices in (chain, depth) order, so serialized output is
-    byte-stable.
+    Vertex labeling is canonical (C, then P, then the frame's spine
+    vertices), so serialized output is byte-stable.
     """
 
     graph: Graph
@@ -100,22 +101,28 @@ def _numerals(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(n)))
 
 
-def _c_then_p(c: Graph, p: Graph, host: Graph) -> tuple[tuple[str, ...], list]:
-    """C's labels and edges, then P's shifted past them; ``host``, the
-    host of the covering to build on, must be P."""
+def _assemble(c: Graph, p: Graph, host: Graph, frame: tuple,
+              blocks: Iterable[Iterable[int]]) -> Scaffold:
+    """The one witness layout: C's labels and edges, then P's shifted
+    past them, then the ``frame`` (what the shape fixes: n, the spine
+    labels, every role, the spine edges, the feet), with block i joined
+    to foot i.  ``host``, the covering's host, must be P."""
     if host != p:
         raise ValueError("covering host differs from the periphery graph")
+    n, spine, roles, spine_edges, feet = frame
     nc = c.n
-    labels = (c.labels or _numerals(nc)) + (p.labels or _numerals(p.n))
-    return labels, [*c.edges, *[(u + nc, v + nc) for u, v in p.edges]]
+    labels = (c.labels or _numerals(nc)) + (p.labels or _numerals(p.n)) + spine
+    edges = [*c.edges, *[(u + nc, v + nc) for u, v in p.edges], *spine_edges]
+    for foot, blk in zip(feet, blocks):
+        edges += [(nc + pv, foot) for pv in blk]
+    return Scaffold(Graph(n, edges, labels), roles)
 
 
 @lru_cache(maxsize=256)
 def _layered_frame(nc: int, np_: int, k: int, rho: int, drop: frozenset[int]) -> tuple:
-    """What a layered scaffold takes from its shape alone: its vertex
-    count, the spine labels, every role, the edges joining C to the
-    chains and the chain edges, and the foot x_{i,rho} of each chain
-    i = 1..k."""
+    """The frame of a layered scaffold: its vertex count, the spine
+    labels, every role, the edges joining C to the chains and the chain
+    edges, and the foot x_{i,rho} of each chain i = 1..k."""
     index: dict[tuple[int, int], int] = {}
     labels, roles = [], [CENTER] * nc + [PERIPHERY] * np_
     for i in range(k + 1):
@@ -146,24 +153,19 @@ def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
     """
     if rho < 1:
         raise DomainError(f"rho must be >= 1, got {rho}")
-    labels, edges = _c_then_p(c, p, cover.host)
     drop = frozenset(drop)
     if not drop <= set(range(1, rho + 1)):
         raise InvalidDropError(
             f"droppable apex depths are 1..{rho}, got {sorted(drop)}")
-    nc = c.n
-    n, spine, roles, frame, feet = _layered_frame(nc, p.n, cover.k, rho, drop)
-    for foot, blk in zip(feet, cover.blocks):
-        edges += [(nc + pv, foot) for pv in blk]
-    edges += frame
-    return Scaffold(Graph(n, edges, labels + spine), roles)
+    return _assemble(c, p, cover.host, _layered_frame(c.n, p.n, cover.k, rho, drop),
+                     cover.blocks)
 
 
 @lru_cache(maxsize=256)
 def _refined_frame(nc: int, np_: int, k: int) -> tuple:
-    """What a refined scaffold takes from its shape alone: its vertex
-    count, the spine labels, every role, the edges C -- x_i, x_i -- y_i
-    and x_1 -- y_0, and the vertices y_0..y_k."""
+    """The frame of a refined scaffold: its vertex count, the spine
+    labels, every role, the edges C -- x_i, x_i -- y_i and x_1 -- y_0,
+    and the feet y_0..y_k."""
     x = range(nc + np_, nc + np_ + k)  # x_i is x[i - 1]
     y = range(nc + np_ + k, nc + np_ + 2 * k + 1)
     labels = tuple(f"x{i}" for i in range(1, k + 1)) + tuple(f"y{j}" for j in range(k + 1))
@@ -184,25 +186,18 @@ def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
     j >= 2, Q_0 complete to y_0 and Q_1 to y_1.  Intermediate count is
     2k + 1.
     """
-    labels, edges = _c_then_p(c, p, rc.base.host)
-    base = rc.base
-    nc = c.n
-    n, spine, roles, frame, y = _refined_frame(nc, p.n, base.k)
-    edges += [(nc + pv, y[0]) for pv in rc.q0]
-    edges += [(nc + pv, y[1]) for pv in rc.q1]
-    rest = (blk for i, blk in enumerate(base.blocks) if i != rc.iota)
-    for yj, blk in zip(y[2:], rest):
-        edges += [(nc + pv, yj) for pv in blk]
-    edges += frame
-    return Scaffold(Graph(n, edges, labels + spine), roles)
+    blocks = (rc.q0, rc.q1, *(b for i, b in enumerate(rc.base.blocks) if i != rc.iota))
+    return _assemble(c, p, rc.base.host, _refined_frame(c.n, p.n, rc.base.k), blocks)
+
+
+#: The cone's center: one vertex, labelled "apex".
+_APEX = Graph(1, (), ["apex"])
 
 
 def build_cone(p: Graph) -> Scaffold:
-    """A single apex adjacent to every vertex of p."""
-    edges = [(0, v + 1) for v in range(p.n)]
-    edges += [(u + 1, v + 1) for u, v in p.edges]
-    return Scaffold(Graph(p.n + 1, edges, ("apex",) + (p.labels or _numerals(p.n))),
-                    (CENTER,) + (PERIPHERY,) * p.n)
+    """A single apex adjacent to every vertex of p, its one block."""
+    frame = p.n + 1, (), (CENTER,) + (PERIPHERY,) * p.n, (), (0,)
+    return _assemble(_APEX, p, p, frame, (range(p.n),))
 
 
 def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:

@@ -351,3 +351,13 @@ def refined_scaffold(c: Graph, p: Graph, blocks, iota: int, q0, q1) -> tuple:
     for j in range(2, k + 1):
         edges += [(nc + pv, y[j]) for pv in sorted(order[j - 1])]
     return len(labels), edges, labels, roles
+
+
+def cone_scaffold(p: Graph) -> tuple:
+    """``(n, edges, labels, roles)`` of the cone, one vertex and one edge
+    at a time: the apex, labelled "apex", then P, and the apex joined to
+    every vertex of P."""
+    labels = ["apex"] + _labels(p)
+    roles = ["center"] + ["periphery"] * p.n
+    edges = [(u + 1, v + 1) for u, v in p.edges] + [(0, v + 1) for v in range(p.n)]
+    return len(labels), edges, labels, roles

@@ -53,6 +53,10 @@ class TestAnalyze:
         _, code = run(["analyze", "--periphery", "c4", "--dot", str(dot)])
         assert code == 0 and "--" in dot.read_text()
 
+    def test_isolated_vertex_tokens_are_unlabelled(self):
+        r = run(["analyze", "--periphery", "3k1"])[0]["result"]
+        assert r["periphery"] == {"ids": [0, 1, 2]}
+
     def test_disconnected_reports_inf(self):
         report, _ = run(["analyze", "--periphery", "2k2"])
         assert report["result"]["radius"] == "inf"
@@ -274,6 +278,31 @@ class TestMainEntry:
     def test_out_of_range_integer_option_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--periphery", "c5", "--bound", "7"],
+        ["families", "--out", "{tmp}", "--bound", "3"],
+        ["cover", "--periphery", "c7", "--k", "3"],
+        ["construct", "--center", "k2", "--periphery", "c7", "--k", "3"],
+        ["construct", "--center", "k2", "--periphery", "c7", "--bound", "5"],
+        ["construct", "--center", "k2", "--periphery", "prism7",
+         "--conditions", "a,a2,b2", "--drop", "9"],
+        ["construct", "--center", "k2", "--periphery", "prism7",
+         "--conditions", "a,b2", "--rho", "2"],
+        ["append", "--center", "k2", "--bound", "5"],
+        ["append", "--periphery", "c6", "--bound", "5"]],
+        ids=["analyze-bound", "families-bound", "cover-k", "construct-k",
+             "construct-bound", "refined-drop", "refined-rho", "center-only-bound",
+             "periphery-only-bound"])
+    def test_ignored_option_is_usage_error(self, argv, tmp_path, capsys):
+        # an option the command would not read is refused, not dropped
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        flag = next(a for a in argv if a in ("--bound", "--k", "--drop", "--rho"))
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert out == "" and len(errors) == 1 and flag in errors[0]
+        assert not list(tmp_path.iterdir())
 
     def test_exit_codes_match_run_command(self):
         assert main(["append", "--center", "k2", "--periphery", "k1_3"]) == 1

@@ -74,7 +74,7 @@ class TestPrisms:
     def test_structure(self):
         g = gen_prism(5).graph
         assert g.n == 10 and g.m == 15
-        assert all(g.degree(v) == 3 for v in range(10))
+        assert all(m.bit_count() == 3 for m in g.adj_masks)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -134,9 +134,10 @@ class TestRegistry:
         assert named_graph("k5").is_complete and named_graph("k5").n == 5
         assert named_graph("p4").m == 3
         assert named_graph("c6").m == 6
-        assert named_graph("star3").degree(0) == 3
+        assert named_graph("star3").adj_masks[0].bit_count() == 3
         assert named_graph("k1_3").m == 3
         assert named_graph("2k1").m == 0 and named_graph("2k1").n == 2
+        assert named_graph("2k1").labels == ("u", "v")  # the fixture keeps its labels
         assert named_graph("2k2").m == 2 and named_graph("2k2").n == 4
         assert named_graph("3k2").n == 6
         assert named_graph("prism6").n == 12
@@ -146,10 +147,17 @@ class TestRegistry:
         with pytest.raises(DomainError):
             named_graph("mystery9")
 
+    @pytest.mark.parametrize("token", ["1k1", "3k1", "3k2"])
+    def test_copy_tokens_are_unlabelled(self, token):
+        # K1 copies were once all labelled "0"; every copy token is unlabelled
+        g = named_graph(token)
+        assert g.labels is None
+        assert g == Graph.disjoint_union([Graph.complete(int(token[2]))] * int(token[0]))
+
     @pytest.mark.parametrize("token", ["p1001", "c1001", "1001k1", "2k501",
                                        "star1000", "prism501"])
     def test_oversized_token_rejected_before_building(self, token, monkeypatch):
-        assert U.families.MAX_TOKEN_VERTICES == 1000
+        assert U.codecs.MAX_INPUT_VERTICES == 1000
         init = Graph.__init__
 
         def guarded(g, n, *args, **kwargs):

@@ -311,8 +311,9 @@ def scaffold_cases(draw):
 
 
 class TestBuildersMatchLiteral:
-    """The builders assemble their shape-only parts once per shape; the
-    graphs and roles they give stay those of the literal edge lists."""
+    """The three builders lay out C, P and their frames through one
+    assembly, with shape-only parts built once per shape; the graphs,
+    labels and roles they give stay those of the literal edge lists."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -346,6 +347,7 @@ class TestBuildersMatchLiteral:
         q1 = frozenset(v for v, x in zip(block, sides) if x & 2)
         same(build_refined_scaffold(c, p, RefinedCovering(cov, iota, q0, q1)),
              oracles.refined_scaffold(c, p, cov.blocks, iota, q0, q1))
+        same(build_cone(p), oracles.cone_scaffold(p))
 
 
 class TestVerifyAgainstLiteral:
