@@ -97,11 +97,14 @@ def eccentric_set(g: Graph, v: int) -> frozenset[int]:
 
 def ucg_analysis(g: Graph) -> UcgAnalysis:
     prof = metric_profile(g)
-    center_mask, ec_masks = 0, []
-    for v, (e, m) in enumerate(zip(prof.ecc, g.ecc_masks)):
-        if e == prof.radius:
-            center_mask |= 1 << v
-            ec_masks.append(m)
+    ecc, r, masks = prof.ecc, prof.radius, g.ecc_masks
+    # the central vertices are found by the tuple's own scans, so the
+    # loop runs once per central vertex, not once per vertex
+    center_mask, ec_masks, v = 0, [], -1
+    for _ in range(ecc.count(r)):
+        v = ecc.index(r, v + 1)
+        center_mask |= 1 << v
+        ec_masks.append(masks[v])
     return UcgAnalysis(
         graph=g,
         center_mask=center_mask,

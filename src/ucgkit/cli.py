@@ -26,7 +26,8 @@ from .coverings import INFEASIBLE, RefinedCovering, cov_A, cov_profile, decide_c
 from .errors import MalformedInputError, UcgError
 from .families import fixture_manifest, named_graph
 from .graphs import INF, Graph
-from .scaffolds import build_refined_scaffold, build_scaffold, verify_construction
+from .scaffolds import (build_refined_scaffold, build_scaffold, check_apex_drop,
+                        verify_construction)
 
 SCHEMA = "ucg-report/1"
 
@@ -110,6 +111,14 @@ def _parse_conditions(text: str) -> frozenset[str]:
     if bad:
         raise MalformedInputError(f"unknown condition tokens: {bad}")
     return frozenset(_COND_TOKENS[t] for t in toks)
+
+
+def _parse_drop(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise MalformedInputError(
+            f"--drop takes a comma list of apex depths, got {text!r}") from None
 
 
 def _refuse(args: argparse.Namespace, when: str, *options: str) -> None:
@@ -207,6 +216,11 @@ def _cmd_construct(args, inputs):
         _refuse(args, "when the conditions hold A'' or B''", "rho", "drop")
     c = _load_graph(inputs, "center", args.center)
     p = _load_graph(inputs, "periphery", args.periphery)
+    if not conds & {"A''", "B''"}:
+        # the layered scaffold's depth and dropped apex depths follow from
+        # the options and C alone, so they are checked before any search
+        rho = args.rho if args.rho is not None else (1 if c.is_complete else 2)
+        drop = check_apex_drop(rho, _parse_drop(args.drop))
 
     if args.conditions:
         k = args.k if args.k is not None else 2
@@ -223,8 +237,6 @@ def _cmd_construct(args, inputs):
     if isinstance(covering, RefinedCovering):
         scaffold = build_refined_scaffold(c, p, covering)
     else:
-        rho = args.rho if args.rho is not None else (1 if c.is_complete else 2)
-        drop = tuple(int(x) for x in args.drop.split(",") if x.strip())
         scaffold = build_scaffold(c, p, covering, rho, drop)
     result = {"covering": covering.to_json(),
               "scaffold": {**scaffold.to_json(), "n": scaffold.graph.n},

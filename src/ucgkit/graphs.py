@@ -193,29 +193,39 @@ class Graph:
         that a reader indexing it as a distance matrix fails loudly.
 
         Up to ``PACKED_BFS_MAX_N`` vertices, ``all_sources_bfs`` searches
-        from every source at once, at n multiplies per BFS level plus 3n
+        from every source at once, at n multiplies per BFS level plus 2n
         shifts, and ``layers`` is a ``PackedLayers`` view of its levels.
         Above the cutoff the packed integers grow as n^2 bits and one
         ``bfs_layers`` per source, which runs instead, is faster.
+
+        A source's eccentricity and eccentric set are its depth and last
+        layer as the search leaves them.  Only when some source misses a
+        vertex (the packed search has not filled every field) are the
+        reached sets read, and each such source gets the infinite
+        eccentricity and the vertices it misses.
         """
         n, d = self.n, self.__dict__
         full = (1 << n) - 1
         if n <= PACKED_BFS_MAX_N:
             levels, seen, depth, last = all_sources_bfs(self.adj_masks)
             shifts = range(0, n * (n + 1), n + 1)
-            reach = [seen >> s & full for s in shifts]
-            depths = [depth >> s & full for s in shifts]
-            lasts = [last >> s & full for s in shifts]
+            ecc = [depth >> s & full for s in shifts]
+            ecc_masks = [last >> s & full for s in shifts]
             layers = PackedLayers(levels, n)
+            every = _fields(n)[0] * full  # every field full
+            reach = () if seen == every else [seen >> s & full for s in shifts]
         else:
             runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(n)]
             layers = tuple([tuple(ls) for ls, _ in runs])
+            ecc = [len(ls) - 1 for ls in layers]
+            ecc_masks = [ls[-1] for ls in layers]
             reach = [seen for _, seen in runs]
-            depths = [len(ls) - 1 for ls in layers]
-            lasts = [ls[-1] for ls in layers]
+        for v, r in enumerate(reach):
+            if r != full:
+                ecc[v], ecc_masks[v] = INF, full & ~r
         d["layers"] = layers
-        d["ecc"] = tuple([e if r == full else INF for e, r in zip(depths, reach)])
-        d["ecc_masks"] = tuple([m if r == full else full & ~r for m, r in zip(lasts, reach)])
+        d["ecc"] = tuple(ecc)
+        d["ecc_masks"] = tuple(ecc_masks)
 
     #: Eccentricities; a vertex that misses some vertex has infinite
     #: eccentricity.

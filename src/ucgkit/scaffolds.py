@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import groupby
+from typing import Iterable, NamedTuple
 
 from .analysis import ucg_analysis
 from .codecs import encode_graph6
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError, InvalidDropError
-from .graphs import Dist, Graph, bits, json_number, mask_of
+from .graphs import Dist, Graph, json_number, mask_of
 
 CENTER = "center"
 PERIPHERY = "periphery"
@@ -86,13 +87,31 @@ class VerificationReport:
                 "intermediate_count": self.intermediate_count, "ok": self.ok}
 
 
+class _Tagged(NamedTuple):
+    """The vertices playing one role, in increasing order, their mask,
+    and their runs of consecutive ids as (first id, mask as wide as the
+    run, position of the run's first vertex among the tagged)."""
+
+    vertices: tuple[int, ...]
+    mask: int
+    runs: tuple[tuple[int, int, int], ...]
+
+
+def _tagged(roles: tuple[str, ...], role: str) -> _Tagged:
+    vs = tuple(v for v, r in enumerate(roles) if r == role)
+    runs = []
+    for _, run in groupby(enumerate(vs), lambda iv: iv[1] - iv[0]):
+        run = list(run)
+        i, v = run[0]
+        runs.append((v, (1 << len(run)) - 1, i))
+    return _Tagged(vs, mask_of(vs), tuple(runs))
+
+
 @lru_cache(maxsize=256)
-def _role_sets(roles: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """The center vertices, the periphery vertices, and their two masks;
-    the builders share one roles tuple per shape."""
-    ctr = tuple(v for v, r in enumerate(roles) if r == CENTER)
-    per = tuple(v for v, r in enumerate(roles) if r == PERIPHERY)
-    return ctr, per, mask_of(ctr), mask_of(per)
+def _role_sets(roles: tuple[str, ...]) -> tuple[_Tagged, _Tagged]:
+    """The center and the periphery vertices; the builders share one
+    roles tuple per shape."""
+    return _tagged(roles, CENTER), _tagged(roles, PERIPHERY)
 
 
 @lru_cache(maxsize=64)
@@ -112,9 +131,8 @@ def _assemble(c: Graph, p: Graph, host: Graph, frame: tuple,
     n, spine, roles, spine_edges, feet = frame
     nc = c.n
     labels = (c.labels or _numerals(nc)) + (p.labels or _numerals(p.n)) + spine
-    edges = [*c.edges, *[(u + nc, v + nc) for u, v in p.edges], *spine_edges]
-    for foot, blk in zip(feet, blocks):
-        edges += [(nc + pv, foot) for pv in blk]
+    edges = [*c.edges, *[(u + nc, v + nc) for u, v in p.edges], *spine_edges,
+             *[(nc + pv, foot) for foot, blk in zip(feet, blocks) for pv in blk]]
     return Scaffold(Graph(n, edges, labels), roles)
 
 
@@ -140,6 +158,18 @@ def _layered_frame(nc: int, np_: int, k: int, rho: int, drop: frozenset[int]) ->
     return nc + np_ + len(labels), tuple(labels), tuple(roles), tuple(edges), feet
 
 
+def check_apex_drop(rho: int, drop: Iterable[int]) -> frozenset[int]:
+    """``drop`` as a set, once a layered scaffold of depth ``rho`` can
+    omit those apex depths: rho >= 1 and every depth in 1..rho."""
+    if rho < 1:
+        raise DomainError(f"rho must be >= 1, got {rho}")
+    drop = frozenset(drop)
+    if not drop <= set(range(1, rho + 1)):
+        raise InvalidDropError(
+            f"droppable apex depths are 1..{rho}, got {sorted(drop)}")
+    return drop
+
+
 def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
                    drop: Iterable[int] = ()) -> Scaffold:
     """Layered witness over covering blocks P_1..P_k.
@@ -151,12 +181,7 @@ def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
     Edges: C's own edges; P's own edges; C complete to every x_{i,1};
     block P_i complete to x_{i,rho}; chains x_{i,j} -- x_{i,j+1}.
     """
-    if rho < 1:
-        raise DomainError(f"rho must be >= 1, got {rho}")
-    drop = frozenset(drop)
-    if not drop <= set(range(1, rho + 1)):
-        raise InvalidDropError(
-            f"droppable apex depths are 1..{rho}, got {sorted(drop)}")
+    drop = check_apex_drop(rho, drop)
     return _assemble(c, p, cover.host, _layered_frame(c.n, p.n, cover.k, rho, drop),
                      cover.blocks)
 
@@ -207,13 +232,16 @@ def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:
     vertices and the induced edges there equal c's; likewise for the
     periphery.  The intermediate count comes from the fresh analysis: the
     vertices in neither the center nor the centered periphery.  Only the
-    analysis's masks are compared, so no vertex-set view is built.
+    analysis's masks are compared, so no vertex-set view is built, and
+    each tagged vertex's adjacency row is cut to the tagged set by one
+    shift and mask per run of consecutive ids (one run in the builders'
+    C-then-P layout) before it is compared with the intended row.
     """
     g = s.graph
     a = ucg_analysis(g)
-    ctr, per, ctr_mask, per_mask = _role_sets(s.roles)
-    center_matches = a.center_mask == ctr_mask and _induced_equals(g, ctr, c)
-    periphery_matches = a.cp_mask == per_mask and _induced_equals(g, per, p)
+    ctr, per = _role_sets(s.roles)
+    center_matches = a.center_mask == ctr.mask and _induced_equals(g, ctr, c)
+    periphery_matches = a.cp_mask == per.mask and _induced_equals(g, per, p)
     return VerificationReport(
         is_ucg=a.is_ucg,
         center_matches=center_matches,
@@ -223,8 +251,17 @@ def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:
     )
 
 
-def _induced_equals(g: Graph, vertices: tuple[int, ...], target: Graph) -> bool:
-    pos = {v: i for i, v in enumerate(vertices)}
-    return len(vertices) == target.n and all(
-        sum(1 << pos[u] for u in bits(g.adj_masks[v]) if u in pos) == want
-        for v, want in zip(vertices, target.adj_masks))
+def _induced_equals(g: Graph, tagged: _Tagged, target: Graph) -> bool:
+    """Whether the tagged vertices, renumbered in id order, induce
+    ``target``: run by run, a row shifted right to the run's first id,
+    masked to the run's width and shifted left to the run's position is
+    the row's part in the run.  The first run sits at position 0, so a
+    single run costs one shift and one mask per row."""
+    if len(tagged.vertices) != target.n:
+        return False
+    adj, vs = g.adj_masks, tagged.vertices
+    (first, width, _), *more = tagged.runs
+    cut = [adj[v] >> first & width for v in vs]
+    for first, width, at in more:
+        cut = [c | (adj[v] >> first & width) << at for c, v in zip(cut, vs)]
+    return tuple(cut) == target.adj_masks

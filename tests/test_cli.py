@@ -156,6 +156,32 @@ class TestConstruct:
         assert rep_k2["result"]["verification"]["radius"] == 2
         assert rep_p3["result"]["verification"]["radius"] == 3
 
+    @pytest.mark.parametrize("depth, message", [
+        (["--drop", "9"], "error: droppable apex depths are 1..1, got [9]"),
+        (["--rho", "0"], "error: rho must be >= 1, got 0"),
+        (["--rho", "2", "--drop", "3"], "error: droppable apex depths are 1..2, got [3]")],
+        ids=["drop", "rho", "drop-past-rho"])
+    @pytest.mark.parametrize("search", [
+        ["--periphery", "prism5", "--conditions", "a1,b1", "--k", "3"],
+        ["--periphery", "k1_3"]], ids=["exhausted", "no-cov-A"])
+    def test_depths_checked_before_the_search(self, search, depth, message,
+                                              monkeypatch, capsys):
+        # rho (its default from C) and its droppable apex depths are known
+        # before any search, so a bad value is refused even where no
+        # covering exists, and no search runs
+        def searched(*args, **kwargs):
+            raise AssertionError("searched for a covering")
+        monkeypatch.setattr(U.cli, "decide_cover_k", searched)
+        monkeypatch.setattr(U.cli, "cov_A", searched)
+        assert main(["construct", "--center", "k2", *search, *depth]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_non_integer_drop_names_the_flag(self, capsys):
+        assert main(["construct", "--center", "k2", "--periphery", "2k1",
+                     "--drop", "1,x"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --drop takes a comma list of apex depths, got '1,x'"]
+
 
 class TestOracle:
     def test_pair(self):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from ucgkit import (Covering, DomainError, Graph, InvalidDropError,
                     build_scaffold, check_A, check_AdpBdp, check_Aprime,
                     check_B, check_Bprime, encode_graph6,
                     verify_construction)
-from ucgkit import analysis, scaffolds
+from ucgkit import analysis, graphs, scaffolds
 from ucgkit.graphs import bits
 
 
@@ -357,6 +359,73 @@ class TestVerifyAgainstLiteral:
         s, c, p = case
         rep = verify_construction(s, c, p)
         assert dataclasses.asdict(rep) == oracles.verification_report(s.graph, s.roles, c, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaffold_cases(), st.data())
+    def test_report_matches_literal_verification_relabeled(self, case, data):
+        # the builders tag C and P as two runs of consecutive ids; a
+        # relabeled scaffold tags them anywhere, and half the time the
+        # relabeling keeps each role's vertices in their order, so that
+        # the tagged sets still induce C and P and can match
+        s, c, p = case
+        n = s.graph.n
+        perm = list(data.draw(st.permutations(range(n)), label="perm"))
+        if data.draw(st.booleans(), label="keep role order"):
+            for role in set(s.roles):
+                vs = [v for v in range(n) if s.roles[v] == role]
+                for v, image in zip(vs, sorted(perm[v] for v in vs)):
+                    perm[v] = image
+        roles = [None] * n
+        for v, r in enumerate(s.roles):
+            roles[perm[v]] = r
+        g = Graph(n, [(perm[u], perm[v]) for u, v in s.graph.edges])
+        rep = verify_construction(scaffolds.Scaffold(g, tuple(roles)), c, p)
+        assert dataclasses.asdict(rep) == oracles.verification_report(g, roles, c, p)
+
+
+class TestTracedChain:
+    """``perfbench`` times verification by wrapping ``verify_construction``,
+    ``ucg_analysis``, ``metric_profile`` and the ``Graph.dist`` search
+    under every name ucgkit binds them to; one verification must pass
+    through each once, so that no span is bypassed."""
+
+    @staticmethod
+    def counted(monkeypatch, fn):
+        """Replace ``fn`` by a call-recording wrapper in every ucgkit
+        module that binds it; returns the list of recorded arguments."""
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name == "ucgkit" or name.startswith("ucgkit."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("build", ["layered", "refined", "cone"])
+    def test_verify_runs_each_traced_span_once(self, monkeypatch, p3, build):
+        p, cov = two_k1_cover()
+        s = {"layered": lambda: build_scaffold(p3, p, cov, 2),
+             "refined": lambda: build_refined_scaffold(
+                 p3, p, RefinedCovering(cov, 0, frozenset({0}), frozenset())),
+             "cone": lambda: build_cone(p)}[build]()
+        searches = []
+        search = Graph.__dict__["dist"].func
+
+        def counted_search(g):
+            searches.append(g)
+            return search(g)
+        traced = functools.cached_property(counted_search)
+        traced.__set_name__(Graph, "dist")
+        monkeypatch.setattr(Graph, "dist", traced)
+        analyses = self.counted(monkeypatch, analysis.ucg_analysis)
+        profiles = self.counted(monkeypatch, graphs.metric_profile)
+        verify_construction(s, p3, p)
+        assert analyses == [(s.graph,)] and profiles == [(s.graph,)]
+        assert searches == [s.graph]
 
 
 class TestLazyViews:

@@ -28,9 +28,10 @@ def test_answer_digest_is_byte_stable():
     # condition sets; the 6 fixtures again under the small bound, with k2
     # and p3; the 18 atlas graphs and 6 fixtures as the one side of each
     # one-sided variant; the 9 default-bound oracle cases, none over 4
-    # vertices, and the 2 bound-30 cases without c5 or p5; the 18 atlas
+    # vertices, and the 2 bound-30 cases without c5 or p5; the 11 atlas
+    # graphs on 4 vertices, verified in 5 scaffold shapes; the 18 atlas
     # graphs and 6 fixtures analyzed
     assert Counter(r["op"] for r in records) == {
         "append": 48, "profile": 24, "stream": 128, "append-bounded": 12,
         "profile-bounded": 6, "center-only": 24, "periphery-only": 24, "oracle": 11,
-        "analyze": 24}
+        "verify": 55, "analyze": 24}

@@ -25,6 +25,13 @@ byte-identical answers, witnesses included.  The corpus is
   bound of 24 free edges admits, then on (k2, p4, 3), (k2, c5, 2),
   (k2, p5, 2) and (p3, p4, 2) under a bound of 30, which their records
   carry as ``"bound"``;
+* ``verify_construction(S, C, P).to_json()`` for every ordered
+  2-covering (P_1, P_2) of every atlas graph P on 4 vertices, one line
+  per graph and shape: the depth-1 scaffold minus its apex with C = k2,
+  the depth-2 scaffold minus its apex chain with C = k2 and with
+  C = p3, and the refined scaffold over every split of P_1 with C = k2
+  and with C = p3, so that failing verifications of each kind are
+  compared too;
 * last, ``ucg_analysis(G).to_json()`` over every atlas graph and every
   fixture: radius, diameter, the UCG test, center, centered periphery,
   intermediate vertices, strata and eccentric-set map, as the
@@ -64,6 +71,46 @@ ORACLE_CASES = (("k1", "2k1", 4, None), ("k1", "2k2", 3, None), ("k1", "p4", 3, 
                 ("k2", "p4", 2, None), ("k2", "c4", 2, None), ("p3", "2k1", 3, None),
                 ("k2", "p4", 3, 30), ("k2", "c5", 2, 30), ("k2", "p5", 2, 30),
                 ("p3", "p4", 2, 30))
+#: (shape, center) of each verify line.
+VERIFY_SHAPES = (("rho1", "k2"), ("rho2", "k2"), ("rho2", "p3"),
+                 ("refined", "k2"), ("refined", "p3"))
+
+
+def ordered_two_coverings(n: int):
+    """All ordered (P_1, P_2), both nonempty with union V, in the order of
+    their per-vertex membership patterns (1: P_1 only, 2: P_2 only, 3:
+    both)."""
+    for pat in itertools.product((1, 2, 3), repeat=n):
+        b1 = frozenset(v for v in range(n) if pat[v] & 1)
+        b2 = frozenset(v for v in range(n) if pat[v] & 2)
+        if b1 and b2:
+            yield b1, b2
+
+
+def splits(block: frozenset[int]):
+    """All (Q_0, Q_1) with union ``block`` and Q_0 nonempty, in the order
+    of their per-vertex patterns."""
+    vs = sorted(block)
+    for pat in itertools.product((1, 2, 3), repeat=len(vs)):
+        q0 = frozenset(v for v, x in zip(vs, pat) if x & 1)
+        if q0:
+            yield q0, frozenset(v for v, x in zip(vs, pat) if x & 2)
+
+
+def verifications(shape: str, c: U.Graph, p: U.Graph):
+    """The verification reports of one shape over every ordered
+    2-covering of ``p`` (and, for the refined shape, every split)."""
+    for b1, b2 in ordered_two_coverings(p.n):
+        cov = U.Covering(p, (b1, b2))
+        if shape == "rho1":
+            scaffolds = [U.build_scaffold(c, p, cov, 1, drop=(1,))]
+        elif shape == "rho2":
+            scaffolds = [U.build_scaffold(c, p, cov, 2, drop=(1, 2))]
+        else:
+            scaffolds = [U.build_refined_scaffold(c, p, U.RefinedCovering(cov, 0, q0, q1))
+                         for q0, q1 in splits(b1)]
+        for s in scaffolds:
+            yield U.verify_construction(s, c, p).to_json()
 
 
 def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
@@ -128,6 +175,11 @@ def answers(max_n: int):
         kw = {} if bound is None else {"bound": bound}
         yield {"op": "oracle", "center": ctok, "graph": ptok, "t_max": tmax, **kw,
                "answer": U.brute_force_appendage(c, p, tmax, **kw)}
+    for name, g in atlas:
+        if g.n == 4:
+            for shape, cname in VERIFY_SHAPES:
+                yield {"op": "verify", "graph": name, "shape": shape, "center": cname,
+                       "answer": list(verifications(shape, CENTERS[cname], g))}
     for name, g in atlas + fixtures:
         yield {"op": "analyze", "graph": name, "answer": U.ucg_analysis(g).to_json()}
 
