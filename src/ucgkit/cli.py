@@ -106,7 +106,11 @@ def _load_graph(inputs: dict, role: str, spec: str) -> Graph:
 
 
 def _parse_conditions(text: str) -> frozenset[str]:
+    """The conditions a comma list names; "" names none and means the
+    option was not given, but a list of only commas or blanks is refused."""
     toks = [t.strip().lower() for t in text.split(",") if t.strip()]
+    if text and not toks:
+        raise MalformedInputError(f"--conditions names no condition: {text!r}")
     bad = [t for t in toks if t not in _COND_TOKENS]
     if bad:
         raise MalformedInputError(f"unknown condition tokens: {bad}")

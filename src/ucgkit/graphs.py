@@ -83,25 +83,32 @@ class _FromDist:
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``, immutable after build.
 
-    Invariants enforced at construction: no self-loops, symmetric adjacency,
-    all endpoints in range.  Optional per-vertex string labels are carried
-    along for reporting; they participate in equality.
+    Invariants: no self-loops, symmetric adjacency, all endpoints in range.
+    Built from ``edges``, the constructor enforces them edge by edge
+    (``adjacency_rows``).  The package-internal keyword ``_adj_masks``
+    takes the n adjacency rows instead, and then only their count is
+    checked: the caller guarantees the rows are symmetric, loop-free and
+    in range, as the scaffold builders do by ORing rows that were checked
+    before, once per graph or per frame.  Either way ``n >= 1`` and the
+    labels' count are checked.  Optional per-vertex string labels are
+    carried along for reporting; they participate in equality.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Sequence[str] | None = None):
+                 labels: Sequence[str] | None = None, *,
+                 _adj_masks: Sequence[int] | None = None):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        if _adj_masks is not None:
+            if edges:
+                raise ValueError("give edges or adjacency rows, not both")
+            masks = tuple(_adj_masks)
+            if len(masks) != n:
+                raise ValueError(f"{len(masks)} adjacency rows for n={n}")
+        else:
+            masks = tuple(adjacency_rows(n, edges))
         self.n = n
-        self.adj_masks: tuple[int, ...] = tuple(masks)
+        self.adj_masks: tuple[int, ...] = masks
         if labels is not None:
             labels = tuple(map(str, labels))
             if len(labels) != n:
@@ -212,7 +219,7 @@ class Graph:
             ecc = [depth >> s & full for s in shifts]
             ecc_masks = [last >> s & full for s in shifts]
             layers = PackedLayers(levels, n)
-            every = _fields(n)[0] * full  # every field full
+            *_, every = _fields(n)
             reach = () if seen == every else [seen >> s & full for s in shifts]
         else:
             runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(n)]
@@ -273,6 +280,20 @@ class Graph:
         return self.labels[v] if self.labels else str(v)
 
 
+def adjacency_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The n adjacency rows of ``edges``, each edge checked: both ends in
+    ``0..n-1`` and distinct."""
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 class PackedLayers(Sequence):
     """The per-vertex layers held in the packed levels of
     ``all_sources_bfs``: item v is the tuple of v's nonempty layers, cut
@@ -300,12 +321,14 @@ class PackedLayers(Sequence):
 
 
 @lru_cache(maxsize=64)
-def _fields(n: int) -> tuple[int, int, int]:
+def _fields(n: int) -> tuple[int, int, int, int]:
     """For n fields of n + 1 bits: the lowest bit of every field, the top
-    (guard) bit of every field, and bit s of field s for every s."""
+    (guard) bit of every field, bit s of field s for every s, and the n
+    low bits of every field (every field full)."""
     w = n + 1
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)
-    return ones, ones << n, ((1 << (w + 1) * n) - 1) // ((1 << (w + 1)) - 1)
+    guards = ones << n
+    return ones, guards, ((1 << (w + 1) * n) - 1) // ((1 << (w + 1)) - 1), guards - ones
 
 
 def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]:
@@ -326,8 +349,7 @@ def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]
     each source's last nonempty layer.
     """
     n = len(adj_masks)
-    ones, guards, diag = _fields(n)
-    every = guards - ones  # every field full: no level can follow
+    ones, guards, diag, every = _fields(n)
     levels = [diag]
     seen = frontier = last = diag
     depth = 0

@@ -1,8 +1,13 @@
 """Witness graphs gluing a prescribed center C to a prescribed centered
 periphery P through spine vertices, all laid out by one assembly: C,
 then P, then the spine vertices of the builder's frame, with covering
-block i joined to the frame's foot i.  The builders differ only in
-their frames and blocks:
+block i joined to the frame's foot i.  A frame is what the shape fixes,
+cached per shape as (n, spine labels, roles, spine rows, feet): the
+spine rows are the n adjacency rows of the edges joining C to the spine
+and the spine to itself, checked edge by edge once per frame.  Each
+scaffold is born as adjacency rows: a copy of the spine rows with C's
+rows, P's rows shifted by |C|, and each block's bits at its foot ORed
+in.  The builders differ only in their frames and blocks:
 
 * ``build_scaffold``: k+1 spine chains of length rho, one per covering
   block plus one apex chain; every chain starts on all of C, and chain
@@ -26,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import ucg_analysis
 from .codecs import encode_graph6
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError, InvalidDropError
-from .graphs import Dist, Graph, json_number, mask_of
+from .graphs import Dist, Graph, adjacency_rows, json_number, mask_of
 
 CENTER = "center"
 PERIPHERY = "periphery"
@@ -120,27 +125,51 @@ def _numerals(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(n)))
 
 
+def _frame(n: int, spine: tuple[str, ...], roles: tuple[str, ...],
+           spine_edges: Iterable[tuple[int, int]], feet: Sequence[int]) -> tuple:
+    """A frame as the builders cache it: its spine edges become n
+    adjacency rows, checked edge by edge once per frame.  No ``Graph`` is
+    built, so every ``Graph`` a builder makes is a scaffold."""
+    return n, spine, roles, tuple(adjacency_rows(n, spine_edges)), feet
+
+
 def _assemble(c: Graph, p: Graph, host: Graph, frame: tuple,
               blocks: Iterable[Iterable[int]]) -> Scaffold:
-    """The one witness layout: C's labels and edges, then P's shifted
-    past them, then the ``frame`` (what the shape fixes: n, the spine
-    labels, every role, the spine edges, the feet), with block i joined
-    to foot i.  ``host``, the covering's host, must be P."""
-    if host != p:
+    """The one witness layout, built as adjacency rows.  The ``frame``
+    (what the shape fixes: n, the spine labels, every role, the spine
+    rows, the feet) gives every row its spine bits; C's rows are ORed
+    into rows 0..|C|-1 and P's rows, shifted by |C|, into the next |P|;
+    then block i is joined to foot i: the block's mask, shifted by |C|,
+    into the foot's row and the foot's bit into each block vertex's row.
+    Labels are C's, then P's, then the spine's.  Every bit comes from a
+    checked graph or a covering's checked blocks, so ``Graph`` takes the
+    rows without a per-edge check.  ``host``, the covering's host, must
+    be P."""
+    if host is not p and host != p:
         raise ValueError("covering host differs from the periphery graph")
-    n, spine, roles, spine_edges, feet = frame
+    n, spine, roles, spine_rows, feet = frame
     nc = c.n
     labels = (c.labels or _numerals(nc)) + (p.labels or _numerals(p.n)) + spine
-    edges = [*c.edges, *[(u + nc, v + nc) for u, v in p.edges], *spine_edges,
-             *[(nc + pv, foot) for foot, blk in zip(feet, blocks) for pv in blk]]
-    return Scaffold(Graph(n, edges, labels), roles)
+    rows = list(spine_rows)
+    for v, a in enumerate(c.adj_masks):
+        rows[v] |= a
+    for v, a in enumerate(p.adj_masks, nc):
+        rows[v] |= a << nc
+    for foot, blk in zip(feet, blocks):
+        bit, m = 1 << foot, 0
+        for v in blk:
+            v += nc
+            rows[v] |= bit
+            m |= 1 << v
+        rows[foot] |= m
+    return Scaffold(Graph(n, labels=labels, _adj_masks=rows), roles)
 
 
 @lru_cache(maxsize=256)
 def _layered_frame(nc: int, np_: int, k: int, rho: int, drop: frozenset[int]) -> tuple:
     """The frame of a layered scaffold: its vertex count, the spine
-    labels, every role, the edges joining C to the chains and the chain
-    edges, and the foot x_{i,rho} of each chain i = 1..k."""
+    labels, every role, the rows of the edges joining C to the chains and
+    of the chain edges, and the foot x_{i,rho} of each chain i = 1..k."""
     index: dict[tuple[int, int], int] = {}
     labels, roles = [], [CENTER] * nc + [PERIPHERY] * np_
     for i in range(k + 1):
@@ -155,7 +184,7 @@ def _layered_frame(nc: int, np_: int, k: int, rho: int, drop: frozenset[int]) ->
     edges += [(index[(i, j)], index[(i, j + 1)]) for i in range(k + 1)
               for j in range(1, rho) if (i, j) in index and (i, j + 1) in index]
     feet = tuple(index[(i, rho)] for i in range(1, k + 1))
-    return nc + np_ + len(labels), tuple(labels), tuple(roles), tuple(edges), feet
+    return _frame(nc + np_ + len(labels), tuple(labels), tuple(roles), edges, feet)
 
 
 def check_apex_drop(rho: int, drop: Iterable[int]) -> frozenset[int]:
@@ -189,8 +218,8 @@ def build_scaffold(c: Graph, p: Graph, cover: Covering, rho: int,
 @lru_cache(maxsize=256)
 def _refined_frame(nc: int, np_: int, k: int) -> tuple:
     """The frame of a refined scaffold: its vertex count, the spine
-    labels, every role, the edges C -- x_i, x_i -- y_i and x_1 -- y_0,
-    and the feet y_0..y_k."""
+    labels, every role, the rows of the edges C -- x_i, x_i -- y_i and
+    x_1 -- y_0, and the feet y_0..y_k."""
     x = range(nc + np_, nc + np_ + k)  # x_i is x[i - 1]
     y = range(nc + np_ + k, nc + np_ + 2 * k + 1)
     labels = tuple(f"x{i}" for i in range(1, k + 1)) + tuple(f"y{j}" for j in range(k + 1))
@@ -199,7 +228,7 @@ def _refined_frame(nc: int, np_: int, k: int) -> tuple:
              + tuple(spine_role(j, 2) for j in range(k + 1)))
     edges = [(cv, xi) for xi in x for cv in range(nc)]
     edges += [*zip(x, y[1:]), (x[0], y[0])]
-    return y[-1] + 1, labels, roles, tuple(edges), y
+    return _frame(y[-1] + 1, labels, roles, edges, y)
 
 
 def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
@@ -219,10 +248,16 @@ def build_refined_scaffold(c: Graph, p: Graph, rc: RefinedCovering) -> Scaffold:
 _APEX = Graph(1, (), ["apex"])
 
 
+@lru_cache(maxsize=64)
+def _cone_frame(np_: int) -> tuple:
+    """The frame of a cone: no spine vertex or edge, and the apex as the
+    one foot."""
+    return _frame(np_ + 1, (), (CENTER,) + (PERIPHERY,) * np_, (), (0,))
+
+
 def build_cone(p: Graph) -> Scaffold:
     """A single apex adjacent to every vertex of p, its one block."""
-    frame = p.n + 1, (), (CENTER,) + (PERIPHERY,) * p.n, (), (0,)
-    return _assemble(_APEX, p, p, frame, (range(p.n),))
+    return _assemble(_APEX, p, p, _cone_frame(p.n), (range(p.n),))
 
 
 def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:

@@ -306,6 +306,24 @@ class TestMainEntry:
         assert "error: argument --" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["cover", "--periphery", "c6", "--conditions", ",", "--k", "2"],
+        ["cover", "--periphery", "c6", "--conditions", " , "],
+        ["construct", "--center", "k2", "--periphery", "c6", "--conditions", " , "],
+        ["construct", "--center", "k2", "--periphery", "c6", "--conditions", ","]],
+        ids=["cover-comma", "cover-blanks", "construct-blanks", "construct-comma"])
+    def test_conditions_naming_no_condition_is_usage_error(self, argv, capsys):
+        # only commas or blanks name no condition: refused, not read as the
+        # empty condition set (an empty value still means "not given")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--conditions names no condition" in err
+
+    def test_empty_conditions_means_not_given(self):
+        argv = ["construct", "--center", "k2", "--periphery", "c6"]
+        (given, code), (absent, absent_code) = run(argv + ["--conditions", ""]), run(argv)
+        assert code == absent_code == 0 and given["result"] == absent["result"]
+
+    @pytest.mark.parametrize("argv", [
         ["analyze", "--periphery", "c5", "--bound", "7"],
         ["families", "--out", "{tmp}", "--bound", "3"],
         ["cover", "--periphery", "c7", "--k", "3"],

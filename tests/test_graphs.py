@@ -43,6 +43,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, [], labels=["a"])
 
+    def test_rows_are_taken_as_given(self):
+        g = Graph(3, labels="abc", _adj_masks=[0b010, 0b101, 0b010])
+        assert g == Graph(3, [(0, 1), (1, 2)], "abc")
+        assert "edges" not in vars(g) and g.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"edges": [(0, 1)], "_adj_masks": [0b10, 0b01]},
+        {"_adj_masks": [0b10, 0b01, 0]},
+        {"_adj_masks": [0b10]},
+        {"_adj_masks": [0b10, 0b01], "labels": ["a"]}],
+        ids=["with-edges", "too-many-rows", "too-few-rows", "labels-length"])
+    def test_rows_contract(self, kwargs):
+        with pytest.raises(ValueError):
+            Graph(2, **kwargs)
+
     def test_named_constructors(self):
         assert Graph.complete(4).m == 6
         assert Graph.path(5).m == 4

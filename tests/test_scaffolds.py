@@ -387,7 +387,18 @@ class TestTracedChain:
     """``perfbench`` times verification by wrapping ``verify_construction``,
     ``ucg_analysis``, ``metric_profile`` and the ``Graph.dist`` search
     under every name ucgkit binds them to; one verification must pass
-    through each once, so that no span is bypassed."""
+    through each once, so that no span is bypassed.  It times construction
+    by wrapping ``Graph.__init__``, which each scaffold must pass through
+    once, with its rows and no edge list."""
+
+    @staticmethod
+    def builder(p3, build):
+        """The 2K1 periphery and a function building its scaffold."""
+        p, cov = two_k1_cover()
+        return p, {"layered": lambda: build_scaffold(p3, p, cov, 2),
+                   "refined": lambda: build_refined_scaffold(
+                       p3, p, RefinedCovering(cov, 0, frozenset({0}), frozenset())),
+                   "cone": lambda: build_cone(p)}[build]
 
     @staticmethod
     def counted(monkeypatch, fn):
@@ -407,11 +418,8 @@ class TestTracedChain:
 
     @pytest.mark.parametrize("build", ["layered", "refined", "cone"])
     def test_verify_runs_each_traced_span_once(self, monkeypatch, p3, build):
-        p, cov = two_k1_cover()
-        s = {"layered": lambda: build_scaffold(p3, p, cov, 2),
-             "refined": lambda: build_refined_scaffold(
-                 p3, p, RefinedCovering(cov, 0, frozenset({0}), frozenset())),
-             "cone": lambda: build_cone(p)}[build]()
+        p, make = self.builder(p3, build)
+        s = make()
         searches = []
         search = Graph.__dict__["dist"].func
 
@@ -426,6 +434,26 @@ class TestTracedChain:
         verify_construction(s, p3, p)
         assert analyses == [(s.graph,)] and profiles == [(s.graph,)]
         assert searches == [s.graph]
+
+    @pytest.mark.parametrize("build", ["layered", "refined", "cone"])
+    def test_one_graph_per_scaffold_and_no_edge_list(self, monkeypatch, p3, build):
+        p, make = self.builder(p3, build)
+        # a first build makes its frame, which must build no graph either:
+        # perfbench's two traced passes must count the same calls
+        for frame in (scaffolds._layered_frame, scaffolds._refined_frame,
+                      scaffolds._cone_frame):
+            frame.cache_clear()
+        built = []
+        init = Graph.__init__
+
+        def counted_init(g, *args, **kwargs):
+            built.append(g)
+            init(g, *args, **kwargs)
+        monkeypatch.setattr(Graph, "__init__", counted_init)
+        s = make()
+        assert len(built) == 1 and built[0] is s.graph
+        verify_construction(s, p3, p)
+        assert "edges" not in vars(s.graph)
 
 
 class TestLazyViews:

@@ -31,7 +31,9 @@ byte-identical answers, witnesses included.  The corpus is
   the depth-2 scaffold minus its apex chain with C = k2 and with
   C = p3, and the refined scaffold over every split of P_1 with C = k2
   and with C = p3, so that failing verifications of each kind are
-  compared too;
+  compared too.  Each line also carries the sha256 of the verified
+  scaffolds' ``Scaffold.to_json()`` (graph6 and roles), so that a
+  different graph with the same verdict changes the digest;
 * last, ``ucg_analysis(G).to_json()`` over every atlas graph and every
   fixture: radius, diameter, the UCG test, center, centered periphery,
   intermediate vertices, strata and eccentric-set map, as the
@@ -47,6 +49,7 @@ digest:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import sys
@@ -97,9 +100,9 @@ def splits(block: frozenset[int]):
             yield q0, frozenset(v for v, x in zip(vs, pat) if x & 2)
 
 
-def verifications(shape: str, c: U.Graph, p: U.Graph):
-    """The verification reports of one shape over every ordered
-    2-covering of ``p`` (and, for the refined shape, every split)."""
+def shape_scaffolds(shape: str, c: U.Graph, p: U.Graph):
+    """The scaffolds of one shape over every ordered 2-covering of ``p``
+    (and, for the refined shape, every split)."""
     for b1, b2 in ordered_two_coverings(p.n):
         cov = U.Covering(p, (b1, b2))
         if shape == "rho1":
@@ -109,8 +112,16 @@ def verifications(shape: str, c: U.Graph, p: U.Graph):
         else:
             scaffolds = [U.build_refined_scaffold(c, p, U.RefinedCovering(cov, 0, q0, q1))
                          for q0, q1 in splits(b1)]
-        for s in scaffolds:
-            yield U.verify_construction(s, c, p).to_json()
+        yield from scaffolds
+
+
+def scaffolds_sha256(scaffolds) -> str:
+    """The sha256 of the scaffolds' canonical JSON lines, in order."""
+    h = hashlib.sha256()
+    for s in scaffolds:
+        h.update(json.dumps(s.to_json(), sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
@@ -178,8 +189,11 @@ def answers(max_n: int):
     for name, g in atlas:
         if g.n == 4:
             for shape, cname in VERIFY_SHAPES:
+                c = CENTERS[cname]
+                built = list(shape_scaffolds(shape, c, g))
                 yield {"op": "verify", "graph": name, "shape": shape, "center": cname,
-                       "answer": list(verifications(shape, CENTERS[cname], g))}
+                       "answer": [U.verify_construction(s, c, g).to_json() for s in built],
+                       "scaffolds": scaffolds_sha256(built)}
     for name, g in atlas + fixtures:
         yield {"op": "analyze", "graph": name, "answer": U.ucg_analysis(g).to_json()}
 
