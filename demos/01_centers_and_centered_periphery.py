@@ -50,7 +50,7 @@ print("irredundant blocks kept:", res.kept,
 # The induced covering always satisfies condition A: every block has an
 # outside vertex at distance >= 2 inside the periphery subgraph.
 sub, covering, _ = U.periphery_covering(g)
-print("condition A on the induced covering:", U.check_A(covering).passed)
+print("condition A on the induced covering:", U.check_condition(covering, "A").passed)
 
 # Contrast with graphs that are not uniform central: on an even cycle
 # every vertex is central and eccentric sets are singleton antipodes.

@@ -6,8 +6,9 @@ A covering of a graph is a family of vertex blocks whose union is the
 whole vertex set.  Six distance conditions (A, B, A', B', A'', B'')
 control when a covering can be turned into a uniform central graph with
 the covered graph as centered periphery.  This script shows the
-checkers, the exact cov_A solver, the bounded decision procedure, and
-the structural shortcuts on the two prisms.
+condition checker (``check_condition``, one condition name at a time),
+the exact cov_A solver, the bounded decision procedure, and the
+structural shortcuts on the two prisms.
 """
 
 import ucgkit as U
@@ -17,11 +18,12 @@ from ucgkit import Covering, Graph, RefinedCovering
 c7 = Graph.cycle(7)
 cov = Covering(c7, (frozenset({6, 0, 1}), frozenset({2, 3, 4, 5})))
 print("7-cycle, blocks {6,0,1} and {2..5}:")
-print("  A:", U.check_A(cov).passed, " B:", U.check_B(cov).passed)
+print("  A:", U.check_condition(cov, "A").passed,
+      " B:", U.check_condition(cov, "B").passed)
 
 # Failing checks name the exact clause that failed per subject.
 bad = Covering(Graph.cycle(4), (frozenset({0, 1}), frozenset({2, 3})))
-rep = U.check_B(bad)
+rep = U.check_condition(bad, "B")
 print("4-cycle halves fail B:", rep.violations)
 
 # cov_A is solved exactly by reduction to set cover over complements of
@@ -32,7 +34,7 @@ for token in ("c6", "c5", "c4", "palpha3", "k1_3"):
 
 # The compound conditions couple blocks, so they are decided by bounded
 # exhaustive search; witnesses come back in deterministic (lexicographic
-# first) order and are re-verified by the public checkers.
+# first) order and are re-verified by covering_passes.
 dec = U.decide_cover_k(c7, 2, ("A", "B"))
 print("\n2-block A+B covering of the 7-cycle:",
       [sorted(b) for b in dec.witness.blocks])
@@ -60,7 +62,7 @@ print("two-ball triple on the heptagonal prism:",
       U.two_ball_triple_check(hept)[0])
 
 rc = U.refined_cover_of(U.prism7_refined_cover())
-ra, rb = U.check_AdpBdp(rc)
+ra, rb = U.check_condition(rc, "A''"), U.check_condition(rc, "B''")
 print("heptagonal prism refined covering: A''", ra.passed, " B''", rb.passed)
 
 # The full profile combines shortcuts with the bounded deciders and is

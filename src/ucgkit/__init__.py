@@ -17,8 +17,7 @@ from .appendage import (AppendageResult, appendage_center_only, appendage_number
 from .codecs import (decode_graph6, encode_graph6, format_edge_list,
                      load_graph_text, parse_edge_list, to_dot)
 from .coverings import (CONDITIONS, INFEASIBLE, ConditionReport, CovSizeResult,
-                        Covering, RefinedCovering, Unknown, check_A,
-                        check_AdpBdp, check_Aprime, check_B, check_Bprime,
+                        Covering, RefinedCovering, Unknown, check_condition,
                         construct_AB_bipartition, cov_A, cov_profile,
                         covering_from_json, covering_passes, decide_cover_k,
                         iter_covering_witnesses, singleton_covering,

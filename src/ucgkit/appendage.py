@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations_with_replacement
 
-from .coverings import (PROFILE_CONDS, Covering, RefinedCovering, Unknown, cov_A,
-                        decide_bound, iter_covering_witnesses, singleton_witness,
-                        two_block_fact)
+from .coverings import (PROFILE_CONDS, Unknown, cov_A, decide_bound,
+                        iter_covering_witnesses, singleton_witness, two_block_fact)
 from .errors import BoundExceededError, DomainError, InternalCheckError
 from .graphs import INF, Graph, MetricProfile, json_number, metric_profile, subset_table
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
@@ -98,7 +97,6 @@ class _Route:
 
     status: str
     reason: str
-    witness: Covering | RefinedCovering | None = None
     scaffold: Scaffold | None = None
 
 
@@ -119,7 +117,7 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
         certs[f"cov_{key}_decision"] = {"status": status, "reason": reason}
         if witness is not None:
             certs["witness_covering"] = witness.to_json()
-        return _Route(status, reason, witness, scaffold)
+        return _Route(status, reason, scaffold)
 
     fact = two_block_fact(p, prof, key) if kappa == 2 else None
     if fact is not None and fact.build is None:

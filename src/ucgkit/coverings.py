@@ -3,11 +3,12 @@
 A covering is a family of nonempty vertex sets whose union is the whole
 vertex set; blocks may overlap.  Six conditions (A, B, A', B', A'', B'')
 constrain how blocks sit inside the host metric.  Each condition is
-written once, as a generator of its violations over block masks: the
-``check_*`` reporters list every violation with its failed sub-clauses,
-while ``covering_passes`` stops at the first one.  The decision search
-never runs them: its cuts leave no violation standing but one case of
-B''-1, which the split search's leaves check from three masks.
+written once, as a generator of its violations over block masks, and
+the six share one table: ``check_condition`` reports every violation of
+one condition with its failed sub-clauses, while ``covering_passes``
+stops at the first one.  The decision search never runs them: its cuts
+leave no violation standing but one case of B''-1, which the split
+search's leaves check from three masks.
 The package decides, at desk scale, the minimum covering sizes under
 several condition sets:
 
@@ -225,13 +226,18 @@ def _geometry(g: Graph):
 # --------------------------------------------------------------------------
 # the conditions, one violation generator each
 #
-# Each generator walks its subjects (blocks, block vertices, split sides)
-# in a fixed order and lazily yields (subject, tags) for each subject on
-# which every alternative of the condition fails, tags naming those
-# failed sub-clauses.  The reports list every violation; the re-checks
-# only ask for the first one.
+# Each generator takes the host, the block masks and the split: (iota,
+# Q0 mask, Q1 mask) of a refined covering, None for a plain one, which
+# only A'' and B'' read.  It walks its subjects (blocks, block vertices,
+# split sides) in a fixed order and lazily yields (subject, tags) for
+# each subject on which every alternative of the condition fails, tags
+# naming those failed sub-clauses.  The reports list every violation;
+# the re-checks only ask for the first one.
 
-def _violations_A(g: Graph, bm: Sequence[int]):
+_Split = tuple[int, int, int] | None
+
+
+def _violations_A(g: Graph, bm: Sequence[int], split: _Split):
     """A: every block has an outside vertex at distance >= 2."""
     full, closed = g.full_mask, g.closed_masks
     for i, m in enumerate(bm):
@@ -239,7 +245,7 @@ def _violations_A(g: Graph, bm: Sequence[int]):
             yield f"block {i}", ("A",)
 
 
-def _violations_B(g: Graph, bm: Sequence[int]):
+def _violations_B(g: Graph, bm: Sequence[int], split: _Split):
     """B: each vertex of each block has an outside vertex at distance >= 3
     (B-1) or a sibling block entirely at distance >= 2 (B-2)."""
     closed, far3 = g.closed_masks, g.far_masks(3)
@@ -252,7 +258,7 @@ def _violations_B(g: Graph, bm: Sequence[int]):
             yield f"vertex {p} in block {i}", ("B-1", "B-2")
 
 
-def _violations_Aprime(g: Graph, bm: Sequence[int]):
+def _violations_Aprime(g: Graph, bm: Sequence[int], split: _Split):
     """A': every block has an outside vertex at distance >= 3 (A'-1) or a
     sibling block entirely at distance >= 2 (A'-2)."""
     full, closed, ball2 = g.full_mask, g.closed_masks, g.ball_masks(2)
@@ -265,7 +271,7 @@ def _violations_Aprime(g: Graph, bm: Sequence[int]):
         yield f"block {i}", ("A'-1", "A'-2")
 
 
-def _violations_Bprime(g: Graph, bm: Sequence[int]):
+def _violations_Bprime(g: Graph, bm: Sequence[int], split: _Split):
     """B': every vertex of every block has a sibling block entirely at
     distance >= 2."""
     closed = g.closed_masks
@@ -275,8 +281,9 @@ def _violations_Bprime(g: Graph, bm: Sequence[int]):
                 yield f"vertex {p} in block {i}", ("B'",)
 
 
-def _violations_Adp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int):
+def _violations_Adp(g: Graph, bm: Sequence[int], split: _Split):
     """A'' on the split Q0 | Q1 of block ``iota``."""
+    iota, q0, q1 = split
     full, closed, ball2 = g.full_mask, g.closed_masks, g.ball_masks(2)
     k = len(bm)
     for i in range(k):
@@ -299,8 +306,9 @@ def _violations_Adp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int):
         yield f"Q{l}", ("A''-2a", "A''-2b")
 
 
-def _violations_Bdp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int):
+def _violations_Bdp(g: Graph, bm: Sequence[int], split: _Split):
     """B'' on the split Q0 | Q1 of block ``iota``."""
+    iota, q0, q1 = split
     closed, ball2, far4 = g.closed_masks, g.ball_masks(2), g.far_masks(4)
     k = len(bm)
     for i in range(k):
@@ -327,74 +335,56 @@ def _violations_Bdp(g: Graph, bm: Sequence[int], iota: int, q0: int, q1: int):
             yield f"vertex {p} in Q{l}", ("B''-2a", "B''-2b")
 
 
-_VIOLATIONS = {"A": _violations_A, "B": _violations_B,
-               "A'": _violations_Aprime, "B'": _violations_Bprime}
+_VIOLATIONS = {"A": _violations_A, "B": _violations_B, "A'": _violations_Aprime,
+               "B'": _violations_Bprime, "A''": _violations_Adp, "B''": _violations_Bdp}
 
 
-def _report(condition: str, violations) -> ConditionReport:
-    bad = tuple((subject, tag) for subject, tags in violations for tag in tags)
-    return ConditionReport(condition, not bad, bad)
+def _condition_args(c: Covering | RefinedCovering):
+    """The host, block masks and split of ``c``, as the generators take them."""
+    if isinstance(c, RefinedCovering):
+        return c.base.host, c.base.block_masks(), (c.iota, mask_of(c.q0), mask_of(c.q1))
+    return c.host, c.block_masks(), None
 
 
-def _holds(violations) -> bool:
-    return next(violations, None) is None
+def _condition_set(conds: Iterable[str]) -> frozenset[str]:
+    conds = frozenset(conds)
+    unknown = conds - _VIOLATIONS.keys()
+    if unknown:
+        raise ValueError(f"unknown conditions: {sorted(unknown)}")
+    return conds
 
 
 # --------------------------------------------------------------------------
-# public condition checkers with violation reports
+# the public checks: one report, or a pass/fail re-check
 
-def check_A(c: Covering) -> ConditionReport:
-    """Condition A: every block has an outside vertex at distance >= 2."""
-    return _report("A", _violations_A(c.host, c.block_masks()))
+def check_condition(c: Covering | RefinedCovering, name: str) -> ConditionReport:
+    """Condition ``name``, one of ``CONDITIONS``, on ``c``, listing every
+    violation with its failed sub-clauses.
 
-
-def check_B(c: Covering) -> ConditionReport:
-    """Condition B: each vertex of each block escapes, either via some
-    vertex outside the block at distance >= 3 (B-1) or via a sibling
-    block entirely at distance >= 2 (B-2)."""
-    return _report("B", _violations_B(c.host, c.block_masks()))
-
-
-def check_Aprime(c: Covering) -> ConditionReport:
-    """Condition A': every block has an outside vertex at distance >= 3
-    (A'-1) or a sibling block entirely at distance >= 2 (A'-2)."""
-    return _report("A'", _violations_Aprime(c.host, c.block_masks()))
-
-
-def check_Bprime(c: Covering) -> ConditionReport:
-    """Condition B': every vertex of every block has a sibling block
-    entirely at distance >= 2."""
-    return _report("B'", _violations_Bprime(c.host, c.block_masks()))
-
-
-def check_AdpBdp(rc: RefinedCovering) -> tuple[ConditionReport, ConditionReport]:
-    """Conditions A'' and B'' on a refined covering, clause by clause.
-
-    Distances from an empty Q_1 are infinite, so threshold clauses about
-    it hold vacuously; clauses demanding a witness inside Q_1 fail.
+    A'' and B'' are read on the split of a ``RefinedCovering``; the other
+    conditions on its base blocks.  Distances from an empty Q_1 are
+    infinite, so threshold clauses about it hold vacuously; clauses
+    demanding a witness inside Q_1 fail.
     """
-    args = (rc.base.host, rc.base.block_masks(), rc.iota,
-            mask_of(rc.q0), mask_of(rc.q1))
-    return (_report("A''", _violations_Adp(*args)),
-            _report("B''", _violations_Bdp(*args)))
+    if name not in _VIOLATIONS:
+        raise ValueError(f"unknown condition: {name!r}")
+    g, bm, split = _condition_args(c)
+    if split is None and name in ("A''", "B''"):
+        raise TypeError(f"condition {name} needs a RefinedCovering")
+    bad = tuple((subject, tag) for subject, tags in _VIOLATIONS[name](g, bm, split)
+                for tag in tags)
+    return ConditionReport(name, not bad, bad)
 
 
 def covering_passes(c: Covering | RefinedCovering, conds: Iterable[str]) -> bool:
-    """Re-verify a covering (or refined covering) against named conditions."""
-    conds = set(conds)
-    refined = isinstance(c, RefinedCovering)
-    base = c.base if refined else c
-    g, bm = base.host, base.block_masks()
-    checks = [_VIOLATIONS[tag](g, bm) for tag in sorted(conds & _VIOLATIONS.keys())]
-    if conds & {"A''", "B''"}:
-        if not refined:
-            return False
-        split = (c.iota, mask_of(c.q0), mask_of(c.q1))
-        if "A''" in conds:
-            checks.append(_violations_Adp(g, bm, *split))
-        if "B''" in conds:
-            checks.append(_violations_Bdp(g, bm, *split))
-    return all(map(_holds, checks))
+    """Re-verify a covering (or refined covering) against named conditions,
+    stopping at the first violation.  A plain covering fails A'' and B''."""
+    conds = _condition_set(conds)
+    g, bm, split = _condition_args(c)
+    if split is None and conds & {"A''", "B''"}:
+        return False
+    return all(next(_VIOLATIONS[name](g, bm, split), None) is None
+               for name in CONDITIONS if name in conds)
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +407,7 @@ def cov_A(p: Graph) -> CovSizeResult:
     best = _min_set_cover(cands, full)
     blocks = tuple(frozenset(bits(m)) for m in sorted(best, key=lambda m: min(bits(m))))
     witness = Covering(p, blocks)
-    if not check_A(witness).passed:
+    if not check_condition(witness, "A").passed:
         raise InternalCheckError("set-cover witness failed condition A re-check")
     return CovSizeResult("A", len(best), witness, "set-cover")
 
@@ -483,10 +473,7 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
     each block-permutation orbit is yielded (permuting blocks 1..k-1 for
     refined sets, whose block 0 carries the split); the order is kept.
     See ``decide_cover_k``."""
-    conds = frozenset(conds)
-    unknown = conds - set(CONDITIONS)
-    if unknown:
-        raise ValueError(f"unknown conditions: {sorted(unknown)}")
+    conds = _condition_set(conds)
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = decide_bound(k, bound)
@@ -960,7 +947,7 @@ def construct_AB_bipartition(p: Graph) -> Covering:
             p1 |= 1 << z
             p2 |= far & -far
     cov = Covering(p, (frozenset(bits(p1)), frozenset(bits(p2))))
-    if not (check_A(cov).passed and check_B(cov).passed):
+    if not all(check_condition(cov, name).passed for name in ("A", "B")):
         raise InternalCheckError("recursive bipartition failed its A/B re-check")
     return cov
 

@@ -89,9 +89,10 @@ class Graph:
     takes the n adjacency rows instead, and then only their count is
     checked: the caller guarantees the rows are symmetric, loop-free and
     in range, as the scaffold builders do by ORing rows that were checked
-    before, once per graph or per frame.  Either way ``n >= 1`` and the
-    labels' count are checked.  Optional per-vertex string labels are
-    carried along for reporting; they participate in equality.
+    before, once per graph or per frame, and that the labels are strings,
+    which the edges path converts with ``str``.  Either way ``n >= 1``
+    and the labels' count are checked.  Optional per-vertex string labels
+    are carried along for reporting; they participate in equality.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
@@ -105,14 +106,16 @@ class Graph:
             masks = tuple(_adj_masks)
             if len(masks) != n:
                 raise ValueError(f"{len(masks)} adjacency rows for n={n}")
+            if labels is not None:
+                labels = tuple(labels)
         else:
             masks = tuple(adjacency_rows(n, edges))
+            if labels is not None:
+                labels = tuple(map(str, labels))
+        if labels is not None and len(labels) != n:
+            raise ValueError("labels length must equal vertex count")
         self.n = n
         self.adj_masks: tuple[int, ...] = masks
-        if labels is not None:
-            labels = tuple(map(str, labels))
-            if len(labels) != n:
-                raise ValueError("labels length must equal vertex count")
         self.labels: tuple[str, ...] | None = labels
 
     # -- construction helpers -------------------------------------------------

@@ -15,8 +15,7 @@ import oracles
 import ucgkit as U
 from ucgkit import (INF, Covering, Graph, RefinedCovering, appendage_number,
                     brute_force_appendage, build_refined_scaffold,
-                    build_scaffold, check_A, check_AdpBdp, check_Aprime,
-                    check_B, check_Bprime, construct_AB_bipartition, cov_A,
+                    build_scaffold, check_condition, construct_AB_bipartition, cov_A,
                     decide_cover_k, gen_P_alpha, gen_P_alpha_beta, gen_prism,
                     metric_profile, periphery_covering, periphery_gap_example,
                     ucg_analysis, verify_construction)
@@ -71,10 +70,10 @@ def test_criterion_2_induced_covering_and_radial_path_laws():
             continue
         ucgs += 1
         _, cov, _ = periphery_covering(g)
-        if not check_A(cov).passed:
+        if not check_condition(cov, "A").passed:
             violations.append(("induced covering fails A", g.edges))
         _, kept, _ = periphery_covering(g, kept_only=True)
-        if not check_A(kept).passed:
+        if not check_condition(kept, "A").passed:
             violations.append(("irredundant subcovering fails A", g.edges))
     _report("criterion 2: induced coverings satisfy A; radial paths hold "
             "one central vertex (labeled n<=6 + canonical n=7)",
@@ -93,11 +92,11 @@ LAW_SPECS = [
 
 def _law_conditions(p, law, cov, rc=None):
     if law == 0:
-        return check_A(cov).passed and check_B(cov).passed
+        return check_condition(cov, "A").passed and check_condition(cov, "B").passed
     if law == 1:
-        return check_Aprime(cov).passed and check_Bprime(cov).passed
-    ra, rb = check_AdpBdp(rc)
-    return check_A(cov).passed and ra.passed and rb.passed
+        return check_condition(cov, "A'").passed and check_condition(cov, "B'").passed
+    ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
+    return check_condition(cov, "A").passed and ra.passed and rb.passed
 
 
 def test_criterion_3_construction_equivalences(k2, p3):
@@ -149,10 +148,10 @@ def test_criterion_3_construction_equivalences(k2, p3):
                     violations.append(("law2 necessity", C.n, g.edges, blocks))
                 if disjoint and apbp != ok:
                     violations.append(("law2 disjoint iff", C.n, g.edges))
-            a_pass = check_A(cov).passed
+            a_pass = check_condition(cov, "A").passed
             for q0, q1 in oracles.all_splits(blocks[0]):
                 rc = RefinedCovering(cov, 0, q0, q1)
-                ra, rb = check_AdpBdp(rc)
+                ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
                 conds = a_pass and ra.passed and rb.passed
                 for C in (k2, p3):
                     ok = verify_construction(
@@ -304,7 +303,8 @@ def test_criterion_8_two_block_equivalences():
             violations.append(("radius 2 admits no 2-block A+B", g.edges))
         if prof.diameter >= 4 and prof.radius >= 3:
             cov = construct_AB_bipartition(g)
-            if not (check_A(cov).passed and check_B(cov).passed):
+            if not (check_condition(cov, "A").passed
+                    and check_condition(cov, "B").passed):
                 violations.append(("bipartition fails A/B", g.edges))
     _report("criterion 8: two-block covering equivalences (canonical n<=7)",
             violations, t0, f"{checked} graphs")

@@ -109,9 +109,9 @@ class TestInducedCovering:
     def test_kept_blocks_satisfy_condition_A(self):
         g = periphery_gap_example().graph
         sub, cov, _ = periphery_covering(g)
-        assert U.check_A(cov).passed
+        assert U.check_condition(cov, "A").passed
         sub2, kept_cov, _ = periphery_covering(g, kept_only=True)
-        assert U.check_A(kept_cov).passed
+        assert U.check_condition(kept_cov, "A").passed
 
     def test_blocks_match_radial_path_oracle(self):
         # distance characterization vs explicit radial-path enumeration,

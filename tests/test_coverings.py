@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import ucgkit as U
-from ucgkit import (INFEASIBLE, BoundExceededError, Covering, Graph,
-                    PreconditionError, RefinedCovering, Unknown, check_A,
-                    check_AdpBdp, check_Aprime, check_B, check_Bprime,
+from ucgkit import (CONDITIONS, INFEASIBLE, BoundExceededError, Covering, Graph,
+                    PreconditionError, RefinedCovering, Unknown, check_condition,
                     construct_AB_bipartition, cov_A, cov_profile,
                     decide_cover_k, gen_P_alpha, gen_prism,
                     iter_covering_witnesses, singleton_covering,
@@ -50,36 +49,36 @@ class TestCoveringType:
 
 class TestConditionCheckers:
     def test_A_cross_component_distance(self):
-        assert check_A(cover(Graph.empty(2), {0}, {1})).passed
+        assert check_condition(cover(Graph.empty(2), {0}, {1}), "A").passed
 
     def test_A_single_block_fails(self):
-        rep = check_A(cover(Graph.cycle(5), range(5)))
+        rep = check_condition(cover(Graph.cycle(5), range(5)), "A")
         assert not rep.passed
         assert rep.violations == (("block 0", "A"),)
 
     def test_A_prism_figure_blocks(self, prism7):
         fx = U.prism7_refined_cover()
         blocks = [set(b) for b in fx.extras["blocks"]]
-        assert check_A(cover(prism7, *blocks)).passed
+        assert check_condition(cover(prism7, *blocks), "A").passed
 
     def test_B_singletons_radius_two(self):
-        assert check_B(singleton_covering(Graph.cycle(5))).passed
+        assert check_condition(singleton_covering(Graph.cycle(5)), "B").passed
 
     def test_B_two_isolated(self):
         c = cover(Graph.empty(2), {0}, {1})
-        assert check_B(c).passed and check_A(c).passed
+        assert check_condition(c, "B").passed and check_condition(c, "A").passed
 
     def test_B_c4_split_fails(self):
-        rep = check_B(cover(Graph.cycle(4), {0, 1}, {2, 3}))
+        rep = check_condition(cover(Graph.cycle(4), {0, 1}, {2, 3}), "B")
         assert not rep.passed
         assert ("vertex 0 in block 0", "B-1") in rep.violations
         assert ("vertex 0 in block 0", "B-2") in rep.violations
 
     def test_Aprime_path_halves(self):
-        assert check_Aprime(cover(Graph.path(6), {0, 1, 2}, {3, 4, 5})).passed
+        assert check_condition(cover(Graph.path(6), {0, 1, 2}, {3, 4, 5}), "A'").passed
 
     def test_Aprime_two_isolated(self):
-        assert check_Aprime(cover(Graph.empty(2), {0}, {1})).passed
+        assert check_condition(cover(Graph.empty(2), {0}, {1}), "A'").passed
 
     def test_Aprime_heptagonal_prism_needs_three_blocks(self, prism7):
         dec = decide_cover_k(prism7, 2, ("A'",))
@@ -87,16 +86,16 @@ class TestConditionCheckers:
 
     def test_Bprime_component_split(self):
         g = Graph.disjoint_union([Graph.path(2), Graph.path(3)])
-        assert check_Bprime(cover(g, {0, 1}, {2, 3, 4})).passed
+        assert check_condition(cover(g, {0, 1}, {2, 3, 4}), "B'").passed
 
     def test_Bprime_connected_split_fails_at_boundary(self):
-        rep = check_Bprime(cover(Graph.path(4), {0, 1}, {2, 3}))
+        rep = check_condition(cover(Graph.path(4), {0, 1}, {2, 3}), "B'")
         assert not rep.passed
         assert ("vertex 1 in block 0", "B'") in rep.violations
         assert ("vertex 2 in block 1", "B'") in rep.violations
 
     def test_Bprime_singletons(self):
-        assert check_Bprime(singleton_covering(Graph.cycle(5))).passed
+        assert check_condition(singleton_covering(Graph.cycle(5)), "B'").passed
 
     def test_refined_trivial_split_inherits_Aprime_Bprime(self):
         # any covering passing A' and B', refined with Q0 = first block and
@@ -111,16 +110,16 @@ class TestConditionCheckers:
                 comp = frozenset(bits(sum(g.layers[0])))
                 candidates.append(cover(g, comp, set(range(g.n)) - comp))
             for c in candidates:
-                if check_Aprime(c).passed and check_Bprime(c).passed:
+                if check_condition(c, "A'").passed and check_condition(c, "B'").passed:
                     rc = RefinedCovering(c, 0, c.blocks[0], frozenset())
-                    ra, rb = check_AdpBdp(rc)
+                    ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
                     assert ra.passed and rb.passed
                     sampled += 1
         assert sampled > 100
 
     def test_refined_prism_figure(self, prism7):
         rc = U.refined_cover_of(U.prism7_refined_cover())
-        ra, rb = check_AdpBdp(rc)
+        ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
         assert ra.passed and rb.passed
 
     def test_refined_violations_name_subclauses(self, prism7):
@@ -129,7 +128,7 @@ class TestConditionCheckers:
         base = Covering(prism7, tuple(blocks))
         # a deliberately bad split: everything into Q0
         rc = RefinedCovering(base, 0, blocks[0], frozenset())
-        ra, rb = check_AdpBdp(rc)
+        ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
         assert not (ra.passed and rb.passed)
         tags = {t for _, t in ra.violations + rb.violations}
         assert tags <= {"A''-1a", "A''-1b", "A''-1c", "A''-2a", "A''-2b",
@@ -143,13 +142,13 @@ class TestConditionCheckers:
             covs = list(oracles.all_coverings(g, 2))
             for blocks in rng.sample(covs, min(12, len(covs))):
                 c = Covering(g, blocks)
-                assert check_A(c).passed == oracles.cond_A(g, blocks)
-                assert check_B(c).passed == oracles.cond_B(g, blocks)
-                assert check_Aprime(c).passed == oracles.cond_Aprime(g, blocks)
-                assert check_Bprime(c).passed == oracles.cond_Bprime(g, blocks)
+                assert check_condition(c, "A").passed == oracles.cond_A(g, blocks)
+                assert check_condition(c, "B").passed == oracles.cond_B(g, blocks)
+                assert check_condition(c, "A'").passed == oracles.cond_Aprime(g, blocks)
+                assert check_condition(c, "B'").passed == oracles.cond_Bprime(g, blocks)
                 for q0, q1 in itertools.islice(oracles.all_splits(blocks[0]), 6):
                     rc = RefinedCovering(c, 0, q0, q1)
-                    ra, rb = check_AdpBdp(rc)
+                    ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
                     assert ra.passed == oracles.cond_Adp(g, blocks, 0, q0, q1)
                     assert rb.passed == oracles.cond_Bdp(g, blocks, 0, q0, q1)
 
@@ -165,10 +164,10 @@ class TestConditionCheckers:
                 if not all(blocks):
                     continue
                 c = Covering(g, blocks)
-                if check_Aprime(c).passed:
-                    assert check_A(c).passed
-                if check_Bprime(c).passed:
-                    assert check_B(c).passed
+                if check_condition(c, "A'").passed:
+                    assert check_condition(c, "A").passed
+                if check_condition(c, "B'").passed:
+                    assert check_condition(c, "B").passed
 
 
 class TestCovA:
@@ -182,7 +181,7 @@ class TestCovA:
     def test_c6(self):
         res = cov_A(Graph.cycle(6))
         assert res.value == 2
-        assert check_A(res.witness).passed
+        assert check_condition(res.witness, "A").passed
 
     def test_lower_bound_two_when_feasible(self):
         for g in U.atlas_graphs(max_n=5):
@@ -210,7 +209,7 @@ class TestCovA:
     def test_witness_reverified(self):
         for g in [Graph.cycle(5), gen_P_alpha(2).graph, Graph.empty(3)]:
             res = cov_A(g)
-            assert check_A(res.witness).passed
+            assert check_condition(res.witness, "A").passed
             assert len(res.witness.blocks) == res.value
 
     def test_set_cover_equals_decide_minimum(self):
@@ -236,11 +235,12 @@ class TestDecide:
     def test_c7_ab_witness(self):
         dec = decide_cover_k(Graph.cycle(7), 2, ("A", "B"))
         assert dec.found and dec.value == 2
-        assert check_A(dec.witness).passed and check_B(dec.witness).passed
+        assert (check_condition(dec.witness, "A").passed
+                and check_condition(dec.witness, "B").passed)
 
     def test_c7_handmade_cover_valid(self):
         c = cover(Graph.cycle(7), {6, 0, 1}, {2, 3, 4, 5})
-        assert check_A(c).passed and check_B(c).passed
+        assert check_condition(c, "A").passed and check_condition(c, "B").passed
 
     def test_lexicographically_first_witness(self):
         g = Graph.cycle(7)
@@ -609,7 +609,7 @@ class TestBipartition:
             prof = U.metric_profile(g)
             if prof.diameter >= 4 and prof.radius >= 3:
                 c = construct_AB_bipartition(g)
-                assert check_A(c).passed and check_B(c).passed
+                assert check_condition(c, "A").passed and check_condition(c, "B").passed
                 hit += 1
         assert hit > 30
 
@@ -623,7 +623,7 @@ class TestBipartition:
             prof = U.metric_profile(g)
             if prof.diameter >= 4 and prof.radius >= 3:
                 c = construct_AB_bipartition(g)
-                assert check_A(c).passed and check_B(c).passed
+                assert check_condition(c, "A").passed and check_condition(c, "B").passed
                 hit += 1
         assert hit > 40
 
@@ -755,13 +755,47 @@ class TestCheckersAgainstOracleRandom:
     def test_reports_match_literal_conditions(self, case):
         g, blocks, q0, q1 = case
         c = Covering(g, blocks)
-        assert check_A(c).passed == oracles.cond_A(g, blocks)
-        assert check_B(c).passed == oracles.cond_B(g, blocks)
-        assert check_Aprime(c).passed == oracles.cond_Aprime(g, blocks)
-        assert check_Bprime(c).passed == oracles.cond_Bprime(g, blocks)
-        ra, rb = check_AdpBdp(RefinedCovering(c, 0, q0, q1))
+        assert check_condition(c, "A").passed == oracles.cond_A(g, blocks)
+        assert check_condition(c, "B").passed == oracles.cond_B(g, blocks)
+        assert check_condition(c, "A'").passed == oracles.cond_Aprime(g, blocks)
+        assert check_condition(c, "B'").passed == oracles.cond_Bprime(g, blocks)
+        rc = RefinedCovering(c, 0, q0, q1)
+        ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
         assert ra.passed == oracles.cond_Adp(g, blocks, 0, q0, q1)
         assert rb.passed == oracles.cond_Bdp(g, blocks, 0, q0, q1)
+
+
+class TestCoveringPasses:
+    @pytest.mark.parametrize("conds", [{"Z"}, ["a"], "A''"],
+                             ids=["unknown", "lower-case", "bare-string"])
+    def test_unknown_names_refused(self, conds):
+        # a bare "A''" iterates to {"A", "'"}
+        with pytest.raises(ValueError):
+            U.covering_passes(singleton_covering(Graph.cycle(5)), conds)
+
+    def test_check_condition_refuses_unknown_and_unsplit(self):
+        c = singleton_covering(Graph.cycle(5))
+        with pytest.raises(ValueError):
+            check_condition(c, "Z")
+        with pytest.raises(TypeError):
+            check_condition(c, "A''")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_refined_case(), st.sets(st.sampled_from(CONDITIONS)), st.booleans())
+    def test_matches_literal_conditions(self, case, conds, refined):
+        # plain coverings fail A'' and B'': they have no split to read
+        g, blocks, q0, q1 = case
+        c = Covering(g, blocks)
+        literal = {
+            "A": lambda: oracles.cond_A(g, blocks),
+            "B": lambda: oracles.cond_B(g, blocks),
+            "A'": lambda: oracles.cond_Aprime(g, blocks),
+            "B'": lambda: oracles.cond_Bprime(g, blocks),
+            "A''": lambda: refined and oracles.cond_Adp(g, blocks, 0, q0, q1),
+            "B''": lambda: refined and oracles.cond_Bdp(g, blocks, 0, q0, q1),
+        }
+        wit = RefinedCovering(c, 0, q0, q1) if refined else c
+        assert U.covering_passes(wit, conds) == all(literal[name]() for name in conds)
 
 
 def _each_tag(subjects, tags):
@@ -781,8 +815,9 @@ class TestViolationOrder:
 
     def reports(self, c, q0=None, q1=frozenset()):
         rc = RefinedCovering(c, 0, c.blocks[0] if q0 is None else q0, q1)
-        return ((check_A(c), check_B(c), check_Aprime(c), check_Bprime(c))
-                + check_AdpBdp(rc))
+        return ((check_condition(c, "A"), check_condition(c, "B"),
+                 check_condition(c, "A'"), check_condition(c, "B'"))
+                + (check_condition(rc, "A''"), check_condition(rc, "B''")))
 
     def assert_violations(self, reports, expected):
         assert [r.condition for r in reports] == ["A", "B", "A'", "B'", "A''", "B''"]

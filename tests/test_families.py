@@ -3,7 +3,7 @@ import json
 import pytest
 
 import ucgkit as U
-from ucgkit import (DomainError, Graph, check_A, check_AdpBdp, cov_A,
+from ucgkit import (DomainError, Graph, check_condition, cov_A,
                     decode_graph6, encode_graph6, fixture_manifest,
                     gen_P_alpha, gen_P_alpha_beta, gen_prism, metric_profile,
                     named_graph, periphery_gap_example, prism7_refined_cover,
@@ -99,8 +99,8 @@ class TestPeripheryGap:
 class TestPrism7Cover:
     def test_partition_is_valid_and_passes(self):
         rc = refined_cover_of(prism7_refined_cover())
-        assert check_A(rc.base).passed
-        ra, rb = check_AdpBdp(rc)
+        assert check_condition(rc.base, "A").passed
+        ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
         assert ra.passed and rb.passed
 
     def test_sets_partition_the_prism(self):

@@ -11,8 +11,7 @@ import oracles
 import ucgkit as U
 from ucgkit import (Covering, DomainError, Graph, InvalidDropError,
                     RefinedCovering, build_cone, build_refined_scaffold,
-                    build_scaffold, check_A, check_AdpBdp, check_Aprime,
-                    check_B, check_Bprime, encode_graph6,
+                    build_scaffold, check_condition, encode_graph6,
                     verify_construction)
 from ucgkit import analysis, graphs, scaffolds
 from ucgkit.graphs import bits
@@ -138,7 +137,7 @@ class TestBuildRefined:
     def test_empty_q1_with_component_split_verifies(self, p3):
         p, base = two_k1_cover()
         rc = RefinedCovering(base, 0, base.blocks[0], frozenset())
-        assert check_Aprime(base).passed and check_Bprime(base).passed
+        assert check_condition(base, "A'").passed and check_condition(base, "B'").passed
         s = build_refined_scaffold(p3, p, rc)
         rep = verify_construction(s, p3, p)
         assert rep.ok and rep.intermediate_count == 2 * base.k + 1 == 5
@@ -148,7 +147,7 @@ class TestBuildRefined:
         blocks = tuple(frozenset(b) for b in fx.extras["blocks"])
         base = Covering(prism7, blocks)
         bad = RefinedCovering(base, 0, blocks[0], frozenset())
-        ra, rb = check_AdpBdp(bad)
+        ra, rb = check_condition(bad, "A''"), check_condition(bad, "B''")
         assert not (ra.passed and rb.passed)
         rep = verify_construction(build_refined_scaffold(p3, prism7, bad),
                                   p3, prism7)
@@ -210,7 +209,7 @@ class TestLayeredLawRandomized:
             cov = random_a_covering(p, rng)
             if cov is None:
                 continue
-            assert check_A(cov).passed
+            assert check_condition(cov, "A").passed
             base = 1 if (c.is_complete or c.n == 1) else 2
             rho = base + rng.choice((0, 1))
             s = build_scaffold(c, p, cov, rho)
@@ -234,7 +233,8 @@ class TestConstructionLawsSmall:
                 cov = Covering(g, blocks)
                 ok = verify_construction(
                     build_scaffold(k2, g, cov, 1, drop=(1,)), k2, g).ok
-                conds = check_A(cov).passed and check_B(cov).passed
+                conds = (check_condition(cov, "A").passed
+                         and check_condition(cov, "B").passed)
                 assert ok == conds, (g.edges, blocks)
 
     def test_overlap_can_defeat_sufficiency_but_not_necessity(self, k2):
@@ -242,7 +242,7 @@ class TestConstructionLawsSmall:
         # blocks rides the spine feet to within distance 2 of everything
         g = Graph.empty(3)
         cov = Covering(g, (frozenset({0, 2}), frozenset({1, 2})))
-        assert check_A(cov).passed and check_B(cov).passed
+        assert check_condition(cov, "A").passed and check_condition(cov, "B").passed
         rep = verify_construction(
             build_scaffold(k2, g, cov, 1, drop=(1,)), k2, g)
         assert not rep.ok
@@ -256,8 +256,8 @@ class TestConstructionLawsSmall:
         g = Graph(5, [(0, 2), (3, 4)])
         cov = Covering(g, (frozenset({0, 2, 3}), frozenset({1, 4})))
         rc = RefinedCovering(cov, 0, frozenset({0, 3}), frozenset({2}))
-        ra, rb = check_AdpBdp(rc)
-        assert check_A(cov).passed and ra.passed and rb.passed
+        ra, rb = check_condition(rc, "A''"), check_condition(rc, "B''")
+        assert check_condition(cov, "A").passed and ra.passed and rb.passed
         rep = verify_construction(build_refined_scaffold(k2, g, rc), k2, g)
         assert not rep.ok
 
