@@ -131,8 +131,7 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
         if _verifies(s, c, p, expect):
             return done("built", reason, wit, s)
     try:
-        stream = iter_covering_witnesses(p, kappa, PROFILE_CONDS[key], bound,
-                                         orbit_leaders=True)
+        stream = iter_covering_witnesses(p, kappa, PROFILE_CONDS[key], bound)
         first = next(stream, None)
     except BoundExceededError:
         return done("vertex-bound", f"bound exceeded at k={kappa}")

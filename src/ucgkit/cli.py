@@ -22,7 +22,8 @@ from .appendage import (appendage_center_only, appendage_number,
                         appendage_periphery_only, brute_force_appendage,
                         DEFAULT_ORACLE_BOUND)
 from .codecs import encode_graph6, load_graph_text, to_dot
-from .coverings import INFEASIBLE, RefinedCovering, cov_A, cov_profile, decide_cover_k
+from .coverings import (INFEASIBLE, REFINED, RefinedCovering, cov_A, cov_profile,
+                        decide_cover_k)
 from .errors import MalformedInputError, UcgError
 from .families import fixture_manifest, named_graph
 from .graphs import INF, Graph
@@ -216,11 +217,11 @@ def _cmd_construct(args, inputs):
     conds = _parse_conditions(args.conditions or "")
     if not args.conditions:
         _refuse(args, "without --conditions", "k", "bound")
-    elif conds & {"A''", "B''"}:
+    elif conds & REFINED:
         _refuse(args, "when the conditions hold A'' or B''", "rho", "drop")
     c = _load_graph(inputs, "center", args.center)
     p = _load_graph(inputs, "periphery", args.periphery)
-    if not conds & {"A''", "B''"}:
+    if not conds & REFINED:
         # the layered scaffold's depth and dropped apex depths follow from
         # the options and C alone, so they are checked before any search
         rho = args.rho if args.rho is not None else (1 if c.is_complete else 2)

@@ -42,11 +42,8 @@ from .errors import BoundExceededError, InternalCheckError, PreconditionError
 from .graphs import Graph, MetricProfile, bits, mask_of, metric_profile, subset_table
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
-
-#: Largest vertex count, and largest block count, accepted by
-#: ``decide_cover_k`` per block count.
-DEFAULT_DECIDE_BOUNDS = {2: 14, 3: 10}
-_FALLBACK_DECIDE_BOUND = 10
+#: The conditions read on the split of block 0; a set holding one is refined.
+REFINED = frozenset(("A''", "B''"))
 
 
 @dataclass(frozen=True)
@@ -347,6 +344,8 @@ def _condition_args(c: Covering | RefinedCovering):
 
 
 def _condition_set(conds: Iterable[str]) -> frozenset[str]:
+    if isinstance(conds, str):
+        raise ValueError(f"conditions must be a collection of names, not {conds!r}")
     conds = frozenset(conds)
     unknown = conds - _VIOLATIONS.keys()
     if unknown:
@@ -369,7 +368,7 @@ def check_condition(c: Covering | RefinedCovering, name: str) -> ConditionReport
     if name not in _VIOLATIONS:
         raise ValueError(f"unknown condition: {name!r}")
     g, bm, split = _condition_args(c)
-    if split is None and name in ("A''", "B''"):
+    if split is None and name in REFINED:
         raise TypeError(f"condition {name} needs a RefinedCovering")
     bad = tuple((subject, tag) for subject, tags in _VIOLATIONS[name](g, bm, split)
                 for tag in tags)
@@ -381,7 +380,7 @@ def covering_passes(c: Covering | RefinedCovering, conds: Iterable[str]) -> bool
     stopping at the first violation.  A plain covering fails A'' and B''."""
     conds = _condition_set(conds)
     g, bm, split = _condition_args(c)
-    if split is None and conds & {"A''", "B''"}:
+    if split is None and conds & REFINED:
         return False
     return all(next(_VIOLATIONS[name](g, bm, split), None) is None
                for name in CONDITIONS if name in conds)
@@ -450,11 +449,9 @@ def _min_set_cover(cands: list[int], universe: int) -> list[int]:
 # decide_cover_k: bounded exhaustive decision for the compound conditions
 
 def decide_bound(k: int, bound: int | None = None) -> int:
-    """The vertex bound in force for a k-block decision: ``bound`` when
-    given, else the default for k."""
-    if bound is not None:
-        return bound
-    return DEFAULT_DECIDE_BOUNDS.get(k, _FALLBACK_DECIDE_BOUND)
+    """The largest vertex count, and block count, a k-block decision
+    accepts: ``bound`` when given, else 14 for k = 2 and 10 otherwise."""
+    return bound if bound is not None else 14 if k == 2 else 10
 
 
 def conds_tag(conds: Iterable[str]) -> str:
@@ -463,15 +460,13 @@ def conds_tag(conds: Iterable[str]) -> str:
 
 
 def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
-                            bound: int | None = None, *, orbit_leaders: bool = False):
-    """Lazily yield every size-k covering of ``p`` meeting ``conds``, in
-    lexicographic order of the per-vertex block-membership patterns (and,
-    for refined sets, those holding A'' or B'', of the (Q_0, Q_1) split
-    patterns of block 0, each witness then a ``RefinedCovering``).
-
-    With ``orbit_leaders`` only the lexicographically least covering of
-    each block-permutation orbit is yielded (permuting blocks 1..k-1 for
-    refined sets, whose block 0 carries the split); the order is kept.
+                            bound: int | None = None):
+    """Lazily yield the size-k coverings of ``p`` meeting ``conds``, one
+    per block-permutation orbit: its lexicographically least covering
+    (permuting blocks 1..k-1 for refined sets, whose block 0 carries the
+    split).  They come in lexicographic order of the per-vertex
+    block-membership patterns (and, for refined sets, of the (Q_0, Q_1)
+    split patterns of block 0, each witness then a ``RefinedCovering``).
     See ``decide_cover_k``."""
     conds = _condition_set(conds)
     if k < 1:
@@ -483,7 +478,7 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
     if k > bound:
         raise BoundExceededError(f"decide_cover_k: k={k} exceeds bound {bound}")
 
-    for bm, split in _decide_dfs(p, k, conds, orbit_leaders):
+    for bm, split in _decide_dfs(p, k, conds, True):
         cov = Covering(p, tuple(frozenset(bits(m)) for m in bm))
         witness: Covering | RefinedCovering = cov
         if split is not None:
@@ -590,9 +585,8 @@ def decide_cover_k(p: Graph, k: int, conds: Iterable[str],
     empty field and of no other; the rules look their patterns up in
     tables keyed by the guard masks it leaves.
     """
-    conds = frozenset(conds)
-    witness = next(iter_covering_witnesses(p, k, conds, bound, orbit_leaders=True),
-                   None)
+    conds = _condition_set(conds)
+    witness = next(iter_covering_witnesses(p, k, conds, bound), None)
     tag = conds_tag(conds)
     if witness is None:
         return CovSizeResult(tag, INFEASIBLE, None, "exhausted")
@@ -641,7 +635,7 @@ def _decide_dfs(host: Graph, k: int, conds: frozenset, leaders: bool):
     n = host.n
     geo = _geometry(host)
     full, closed, ball2, far3, far4 = geo
-    refine = bool(conds & {"A''", "B''"})
+    refine = bool(conds & REFINED)
     need_a = bool(conds & {"A", "A'"})
     need_ap = "A'" in conds
     need_bp = "B'" in conds

@@ -126,6 +126,23 @@ class TestAppendageNumber:
         assert appendage_number(p3, prism6).value == 6
         assert appendage_number(p3, prism7).value == 5
 
+    @pytest.mark.parametrize("g6, center, zone, value, case, witness_n", [
+        ("I_?gAJOE_", "p3", (4, 3), 5,
+         "general center: cov_AA''B''=kappa (decide@k=2)", 18),
+        ("KeX?GOR?hSA@", "k2", (3, 3), 3,
+         "complete center: cov_AB>kappa (exhausted@k=2)", 17)])
+    def test_open_zone_minority_values(self, g6, center, zone, value, case, witness_n):
+        # the smallest graphs known to take the value that no zone graph
+        # on n <= 8 takes (general zone 6, complete zone 2); found by
+        # random search, not by an exhaustive run
+        p = U.decode_graph6(g6)
+        prof = U.metric_profile(p)
+        assert (prof.diameter, prof.radius) == zone
+        res = appendage_number(U.named_graph(center), p)
+        assert res.value == value
+        assert res.case == case
+        assert res.witness.graph.n == witness_n
+
 
 class TestFamilies:
     @pytest.mark.parametrize("alpha,beta", [(2, 1), (3, 2)])

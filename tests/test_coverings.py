@@ -21,6 +21,15 @@ def cover(g, *blocks):
     return Covering(g, tuple(frozenset(b) for b in blocks))
 
 
+def full_stream(g, k, conds):
+    """Every size-k covering of ``g`` meeting ``conds``, not only the orbit
+    leaders ``iter_covering_witnesses`` yields, wrapped as it wraps them."""
+    for bm, split in _decide_dfs(g, k, frozenset(conds), False):
+        c = cover(g, *(bits(m) for m in bm))
+        yield c if split is None else RefinedCovering(c, 0, *(frozenset(bits(m))
+                                                                for m in split))
+
+
 class TestCoveringType:
     def test_union_must_cover(self):
         with pytest.raises(ValueError):
@@ -255,7 +264,7 @@ class TestDecide:
 
     def test_iterator_yields_all_valid_coverings(self):
         g = Graph.cycle(5)
-        mine = [w.blocks for w in iter_covering_witnesses(g, 2, ("A",))]
+        mine = [w.blocks for w in full_stream(g, 2, ("A",))]
         ref = [b for b in oracles.all_coverings(g, 2) if oracles.cond_A(g, b)]
         assert mine == ref
 
@@ -404,7 +413,7 @@ def _literal_streams(g, k, cond_sets, limit=None):
 
 
 def _library_stream(g, k, conds):
-    for w in iter_covering_witnesses(g, k, conds):
+    for w in full_stream(g, k, conds):
         yield (w.base.blocks, w.q0, w.q1) if isinstance(w, RefinedCovering) else w.blocks
 
 
@@ -512,9 +521,9 @@ class TestOrbitLeaders:
 
                 def blocks(w):
                     return w.base.blocks if refine else w.blocks
-                full = iter_covering_witnesses(g, k, conds)
+                full = full_stream(g, k, conds)
                 expect = [w for w in full if _is_orbit_leader(g.n, blocks(w), fixed)]
-                leaders = iter_covering_witnesses(g, k, conds, orbit_leaders=True)
+                leaders = iter_covering_witnesses(g, k, conds)
                 assert list(leaders) == expect, (g.edges, k, conds)
 
     def test_decide_matches_first_full_witness(self):
@@ -524,13 +533,9 @@ class TestOrbitLeaders:
             for k in range(2, 6):
                 for key, conds in PROFILE_CONDS.items():
                     dec = decide_cover_k(g, k, conds)
-                    first = next(iter_covering_witnesses(g, k, conds), None)
+                    first = next(full_stream(g, k, conds), None)
                     assert dec.witness == first, (g.edges, k, key)
                     assert dec.found == (first is not None)
-
-    def test_orbit_leaders_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            iter_covering_witnesses(Graph.cycle(5), 2, ("A",), None, True)
 
     def test_prism5_three_block_AprimeBprime_infeasible(self):
         g = gen_prism(5).graph
@@ -544,8 +549,7 @@ class TestOrbitLeaders:
     def test_prism_leader_stream_lengths(self, m, k, key, length):
         # whole leader streams on 8 to 12 vertices, past the literal
         # stream tests' n <= 5
-        stream = iter_covering_witnesses(gen_prism(m).graph, k, PROFILE_CONDS[key],
-                                         orbit_leaders=True)
+        stream = iter_covering_witnesses(gen_prism(m).graph, k, PROFILE_CONDS[key])
         assert sum(1 for _ in stream) == length
 
     def test_atlas_1035_refined_route(self, atlas_r2):
@@ -772,6 +776,17 @@ class TestCoveringPasses:
         # a bare "A''" iterates to {"A", "'"}
         with pytest.raises(ValueError):
             U.covering_passes(singleton_covering(Graph.cycle(5)), conds)
+
+    @pytest.mark.parametrize("conds", ["AB", "A'"])
+    @pytest.mark.parametrize("entry", [
+        lambda g, conds: U.covering_passes(singleton_covering(g), conds),
+        lambda g, conds: next(iter_covering_witnesses(g, 2, conds)),
+        lambda g, conds: decide_cover_k(g, 2, conds)],
+        ids=["covering_passes", "iter_covering_witnesses", "decide_cover_k"])
+    def test_bare_string_refused(self, entry, conds):
+        # "AB" would iterate to the names {"A", "B"}, "A'" to {"A", "'"}
+        with pytest.raises(ValueError):
+            entry(Graph.cycle(7), conds)
 
     def test_check_condition_refuses_unknown_and_unsplit(self):
         c = singleton_covering(Graph.cycle(5))

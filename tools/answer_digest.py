@@ -10,10 +10,10 @@ byte-identical answers, witnesses included.  The corpus is
   atlas graphs with n <= 6 and every fixture;
 * ``decide_cover_k`` on prism3..prism7 for k = 2..4 and each profile
   condition set past "A" (a bound error is printed as such);
-* the first five witnesses of ``iter_covering_witnesses(P, k, conds,
-  orbit_leaders=True)`` for k in {2, 3} and each profile condition set
-  past "A", over the atlas graphs with radius >= 2 and every fixture (a
-  bound error is printed as such);
+* the first five witnesses of ``iter_covering_witnesses(P, k, conds)``
+  for k in {2, 3} and each profile condition set past "A", over the
+  atlas graphs with radius >= 2 and every fixture (a bound error is
+  printed as such);
 * ``appendage_number(C, P, bound=4)`` for C in {k2, p3} and
   ``cov_profile(P, bound=4)`` over every fixture, so that unsettled
   answers (``Unknown`` intervals with their stop causes) are compared too;
@@ -161,7 +161,7 @@ def answers(max_n: int):
     for name, g in append_graphs:
         for k in STREAM_KS:
             for key, conds in PROFILE_CONDS.items():
-                stream = U.iter_covering_witnesses(g, k, conds, orbit_leaders=True)
+                stream = U.iter_covering_witnesses(g, k, conds)
                 try:
                     ans = [w.to_json() for w in itertools.islice(stream, STREAM_HEAD)]
                 except U.BoundExceededError as e:
