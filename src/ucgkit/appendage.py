@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .coverings import (PROFILE_CONDS, Unknown, cov_A, decide_bound,
                         iter_covering_witnesses, singleton_witness, two_block_fact)
@@ -132,17 +132,17 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
             return done("built", reason, wit, s)
     try:
         stream = iter_covering_witnesses(p, kappa, PROFILE_CONDS[key], bound)
-        first = next(stream, None)
     except BoundExceededError:
         return done("vertex-bound", f"bound exceeded at k={kappa}")
-    if first is None:
-        return done("no-witness", f"exhausted@k={kappa}")
-    for tried, wit in enumerate(chain((first,), stream), 1):
+    tried = 0
+    for tried, wit in enumerate(stream, 1):
         s = builder(wit)
         if _verifies(s, c, p, expect):
             return done("built", f"decide@k={kappa}", wit, s)
         if tried >= WITNESS_RETRY_CAP:
             return done("witness-cap", f"witness retry cap at k={kappa}")
+    if not tried:
+        return done("no-witness", f"exhausted@k={kappa}")
     return done("no-build", f"conditions met at k={kappa}, no construction verified")
 
 

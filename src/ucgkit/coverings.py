@@ -467,7 +467,10 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
     split).  They come in lexicographic order of the per-vertex
     block-membership patterns (and, for refined sets, of the (Q_0, Q_1)
     split patterns of block 0, each witness then a ``RefinedCovering``).
-    See ``decide_cover_k``."""
+    See ``decide_cover_k``.
+
+    The names, ``k`` and the bounds are checked when it is called, so a
+    bad argument raises there, before the first witness is asked for."""
     conds = _condition_set(conds)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -477,7 +480,11 @@ def iter_covering_witnesses(p: Graph, k: int, conds: Iterable[str],
             f"decide_cover_k: n={p.n} exceeds bound {bound} for k={k}")
     if k > bound:
         raise BoundExceededError(f"decide_cover_k: k={k} exceeds bound {bound}")
+    return _witness_stream(p, k, conds)
 
+
+def _witness_stream(p: Graph, k: int, conds: frozenset[str]):
+    """The witnesses of ``iter_covering_witnesses``, re-checked publicly."""
     for bm, split in _decide_dfs(p, k, conds, True):
         cov = Covering(p, tuple(frozenset(bits(m)) for m in bm))
         witness: Covering | RefinedCovering = cov

@@ -10,16 +10,21 @@ A graph stores its adjacency as one bitmask per vertex and nothing else.
 Every metric quantity comes from one all-pairs search, run once per graph
 the first time ``layers``, ``ecc`` or ``ecc_masks`` is read, which stores
 all three on the instance.  Up to ``PACKED_BFS_MAX_N`` vertices it is one
-breadth-first search from every source at once over n packed fields
-(``all_sources_bfs``), whose packed levels are kept as the layers and cut
-per vertex when read; above that it runs ``bfs_layers``, which grows the
-distance layers of one source set, once per vertex.  The balls are read
-off the layers.  Graphs are immutable, so the caches can never go stale.
+breadth-first search from every source at once over n packed fields of w
+bits, w the smallest of 8, 16, 32 and 64 above n (``all_sources_bfs``).
+Byte-aligned fields let one ``struct`` call convert every field at once:
+the adjacency rows are packed into the first level with one ``pack``,
+and the eccentricities and eccentric sets come out with one ``unpack``
+each.  The packed levels are kept as the layers and cut per vertex when
+read.  Above the cutoff it runs ``bfs_layers``, which grows the distance
+layers of one source set, once per vertex.  The balls are read off the
+layers.  Graphs are immutable, so the caches can never go stale.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -58,9 +63,12 @@ def subset_table(values: Sequence[int]) -> list[int]:
 
 #: Graphs with at most this many vertices run ``all_sources_bfs``; larger
 #: ones run ``bfs_layers`` once per source.  The packed search costs n
-#: multiplies of n^2-bit integers per BFS level, so it loses first on long
-#: diameters: at 32 vertices a path about breaks even (0.9-1.0x) while
-#: G(n, 3/n) runs 2x as fast, and past that the path loses more.
+#: multiplies of n*w-bit integers per BFS level after the first, where
+#: the field width w is the smallest of 8, 16, 32 and 64 above n, so it
+#: loses first on long diameters.  At 32 vertices, the one size with
+#: 64-bit fields, a path runs about 0.75x as fast as the per-source search
+#: while G(n, 3/n) runs 2.5-3.5x as fast; past 32 the path loses more, and
+#: above 63 no ``struct`` word is wide enough for a field.
 PACKED_BFS_MAX_N = 32
 
 
@@ -203,10 +211,13 @@ class Graph:
         that a reader indexing it as a distance matrix fails loudly.
 
         Up to ``PACKED_BFS_MAX_N`` vertices, ``all_sources_bfs`` searches
-        from every source at once, at n multiplies per BFS level plus 2n
-        shifts, and ``layers`` is a ``PackedLayers`` view of its levels.
-        Above the cutoff the packed integers grow as n^2 bits and one
-        ``bfs_layers`` per source, which runs instead, is faster.
+        from every source at once, at n multiplies per BFS level after the
+        first plus 2n shifts, and ``layers`` is a ``PackedLayers`` view of
+        its levels.  Its fields are w bits wide, a ``struct`` word each
+        (``_fields``), so ``ecc`` and ``ecc_masks`` are each read with one
+        ``unpack`` of the packed depths and last layers.  Above the cutoff
+        the packed integers grow as n*w bits and one ``bfs_layers`` per
+        source, which runs instead, is faster.
 
         A source's eccentricity and eccentric set are its depth and last
         layer as the search leaves them.  Only when some source misses a
@@ -218,21 +229,21 @@ class Graph:
         full = (1 << n) - 1
         if n <= PACKED_BFS_MAX_N:
             levels, seen, depth, last = all_sources_bfs(self.adj_masks)
-            shifts = range(0, n * (n + 1), n + 1)
-            ecc = [depth >> s & full for s in shifts]
-            ecc_masks = [last >> s & full for s in shifts]
+            *_, every, word = _fields(n)
+            size = word.size
+            ecc = word.unpack(depth.to_bytes(size, "little"))
+            ecc_masks = word.unpack(last.to_bytes(size, "little"))
             layers = PackedLayers(levels, n)
-            *_, every = _fields(n)
-            reach = () if seen == every else [seen >> s & full for s in shifts]
+            reach = () if seen == every else word.unpack(seen.to_bytes(size, "little"))
         else:
             runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(n)]
             layers = tuple([tuple(ls) for ls, _ in runs])
             ecc = [len(ls) - 1 for ls in layers]
             ecc_masks = [ls[-1] for ls in layers]
             reach = [seen for _, seen in runs]
-        for v, r in enumerate(reach):
-            if r != full:
-                ecc[v], ecc_masks[v] = INF, full & ~r
+        if reach:
+            ecc = [e if r == full else INF for e, r in zip(ecc, reach)]
+            ecc_masks = [m if r == full else full & ~r for m, r in zip(ecc_masks, reach)]
         d["layers"] = layers
         d["ecc"] = tuple(ecc)
         d["ecc_masks"] = tuple(ecc_masks)
@@ -300,19 +311,25 @@ def adjacency_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 class PackedLayers(Sequence):
     """The per-vertex layers held in the packed levels of
     ``all_sources_bfs``: item v is the tuple of v's nonempty layers, cut
-    out of field v of each level when it is read."""
+    out of field v (bits v*w to v*w + n - 1) of each level when it is
+    read.  It stands for that tuple of tuples: slices are tuples of
+    per-vertex tuples, and it equals (and hashes as) the tuple of its
+    items, as ``layers`` above the cutoff is."""
 
     __slots__ = ("_levels", "_shifts", "_full")
 
     def __init__(self, levels: Sequence[int], n: int):
         self._levels = levels
-        self._shifts = range(0, n * (n + 1), n + 1)
+        w = _fields(n)[0]
+        self._shifts = range(0, n * w, w)
         self._full = (1 << n) - 1
 
     def __len__(self) -> int:
         return len(self._shifts)
 
-    def __getitem__(self, v: int) -> tuple[int, ...]:
+    def __getitem__(self, v: int | slice) -> tuple:
+        if isinstance(v, slice):
+            return tuple(self[u] for u in range(len(self))[v])
         s, full = self._shifts[v], self._full
         out = []
         for level in self._levels:
@@ -322,28 +339,42 @@ class PackedLayers(Sequence):
             out.append(layer)
         return tuple(out)
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (PackedLayers, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
 
 @lru_cache(maxsize=64)
-def _fields(n: int) -> tuple[int, int, int, int]:
-    """For n fields of n + 1 bits: the lowest bit of every field, the top
-    (guard) bit of every field, bit s of field s for every s, and the n
-    low bits of every field (every field full)."""
-    w = n + 1
+def _fields(n: int) -> tuple[int, int, int, int, int, struct.Struct]:
+    """For n fields of w bits, w the smallest of 8, 16, 32 and 64 above n
+    (so n <= 63): w; the lowest bit of every field; bit n (the guard) of
+    every field; bit s of field s for every s; the n low bits of every
+    field (every field full); and the little-endian ``struct`` of n
+    unsigned w-bit words, whose ``pack`` and ``unpack`` convert between
+    the packed integer's bytes and the tuple of its fields."""
+    w, code = next(wc for wc in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")) if wc[0] > n)
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)
     guards = ones << n
-    return ones, guards, ((1 << (w + 1) * n) - 1) // ((1 << (w + 1)) - 1), guards - ones
+    diag = ((1 << (w + 1) * n) - 1) // ((1 << (w + 1)) - 1)
+    return w, ones, guards, diag, guards - ones, struct.Struct(f"<{n}{code}")
 
 
 def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]:
     """One level-synchronous breadth-first search from every vertex.
 
-    Field s of an integer of n fields of n + 1 bits (bits s(n + 1) to
-    s(n + 1) + n - 1, the top bit a guard kept clear) holds the search
-    from source s.  A level ORs ``adj_masks[u]`` into every field whose
-    frontier holds u with one multiply, ``(frontier >> u & ones) * adj[u]``,
-    and drops what was seen.  The fields a level reaches are those whose
-    guard survives ``(nxt | guards) - ones``, one subtraction that borrows
-    through the guard of every empty field and no other.
+    Field s of an integer of n fields of w bits (``_fields``: bits s*w
+    to s*w + n - 1, bit s*w + n a guard kept clear, the bits above it
+    zero) holds the search from source s.  Level 1 is the adjacency rows
+    themselves, packed with one ``struct`` call.  Each later level ORs
+    ``adj_masks[u]`` into every field whose frontier holds u with one
+    multiply, ``(frontier >> u & ones) * adj[u]``, and drops what was
+    seen.  The fields a level reaches are those whose guard survives
+    ``(nxt | guards) - ones``, one subtraction that borrows through the
+    guard of every empty field and no other.
 
     Returns ``(levels, seen, depth, last)``: ``levels[d]`` packs the
     layers at distance d (``levels[0]`` holds field s = {s}, and a field
@@ -352,26 +383,26 @@ def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]
     each source's last nonempty layer.
     """
     n = len(adj_masks)
-    ones, guards, diag, every = _fields(n)
+    _, ones, guards, diag, every, word = _fields(n)
     levels = [diag]
-    seen = frontier = last = diag
+    seen = last = diag
     depth = 0
-    while seen != every:
-        nxt = 0
-        for u, a in enumerate(adj_masks):
-            col = frontier >> u & ones
-            if col:
-                nxt |= col * a
-        nxt &= ~seen
-        if not nxt:
-            break
+    nxt = int.from_bytes(word.pack(*adj_masks), "little")
+    while nxt:
         live = ((nxt | guards) - ones) & guards
         low = live >> n
         depth += low
         last = last & ~(live - low) | nxt
         seen |= nxt
-        frontier = nxt
         levels.append(nxt)
+        if seen == every:
+            break
+        frontier, nxt = nxt, 0
+        for u, a in enumerate(adj_masks):
+            col = frontier >> u & ones
+            if col:
+                nxt |= col * a
+        nxt &= ~seen
     return levels, seen, depth, last
 
 

@@ -92,6 +92,12 @@ class VerificationReport:
                 "intermediate_count": self.intermediate_count, "ok": self.ok}
 
 
+#: Reports are immutable and take few values (three flags, a radius and
+#: a count below n), so a sweep that keeps its reports holds one shared
+#: instance per value, not one per scaffold.
+_report = lru_cache(maxsize=1024)(VerificationReport)
+
+
 class _Tagged(NamedTuple):
     """The vertices playing one role, in increasing order, their mask,
     and their runs of consecutive ids as (first id, mask as wide as the
@@ -277,13 +283,8 @@ def verify_construction(s: Scaffold, c: Graph, p: Graph) -> VerificationReport:
     ctr, per = _role_sets(s.roles)
     center_matches = a.center_mask == ctr.mask and _induced_equals(g, ctr, c)
     periphery_matches = a.cp_mask == per.mask and _induced_equals(g, per, p)
-    return VerificationReport(
-        is_ucg=a.is_ucg,
-        center_matches=center_matches,
-        periphery_matches=periphery_matches,
-        radius=a.radius,
-        intermediate_count=g.n - (a.center_mask | a.cp_mask).bit_count(),
-    )
+    return _report(a.is_ucg, center_matches, periphery_matches, a.radius,
+                   g.n - (a.center_mask | a.cp_mask).bit_count())
 
 
 def _induced_equals(g: Graph, tagged: _Tagged, target: Graph) -> bool:

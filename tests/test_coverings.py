@@ -788,6 +788,16 @@ class TestCoveringPasses:
         with pytest.raises(ValueError):
             entry(Graph.cycle(7), conds)
 
+    @pytest.mark.parametrize("g, k, conds, error", [
+        (Graph.cycle(7), 2, "AB", ValueError),
+        (Graph.cycle(7), 0, {"A"}, ValueError),
+        (Graph.cycle(15), 2, {"A"}, BoundExceededError)],
+        ids=["bare-string", "k0", "past-bound"])
+    def test_stream_checks_arguments_at_the_call(self, g, k, conds, error):
+        # no next(): the stream refuses before any witness is asked for
+        with pytest.raises(error):
+            iter_covering_witnesses(g, k, conds)
+
     def test_check_condition_refuses_unknown_and_unsplit(self):
         c = singleton_covering(Graph.cycle(5))
         with pytest.raises(ValueError):

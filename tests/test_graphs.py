@@ -177,6 +177,27 @@ class TestLayerKernelAgainstFloyd:
         packed = isinstance(vars(g)["layers"], graphs.PackedLayers)
         assert packed == (g.n <= CUTOFF)
 
+    @pytest.mark.parametrize("g", [
+        pytest.param(g, id=f"{name}{n}")
+        for n in (1, 2, 7, 8, 15, 16, 31, 32, 33)
+        for name, g in [("path", Graph.path(n)), ("empty", Graph(n)),
+                        *([("cycle", Graph.cycle(n))] if n >= 3 else []),
+                        *([("chorded", chorded_pieces(n))] if n >= 8 else [])]])
+    def test_field_width_boundaries(self, g):
+        # the packed fields are 8, 16, 32 or 64 bits: each side of each step
+        assert_metrics_match_floyd(g)
+
+    @pytest.mark.parametrize("n", [5, CUTOFF + 8])
+    def test_layers_behave_as_a_tuple_of_tuples(self, n):
+        g, h = Graph.path(n), Graph.path(n)
+        items = tuple(g.layers[v] for v in range(n))
+        assert type(g.layers[1:3]) is tuple
+        assert g.layers[1:3] == items[1:3] and g.layers[::-2] == items[::-2]
+        assert g.layers[-1] == items[-1]
+        assert g.layers == h.layers == items and items == g.layers
+        assert g.layers != Graph.cycle(n).layers
+        assert hash(g.layers) == hash(h.layers) == hash(items)
+
     @settings(max_examples=300, deadline=None)
     @given(kernel_graphs, st.data())
     def test_multi_source_layers(self, g, data):

@@ -42,6 +42,13 @@ class TestBuildScaffold:
         rep = verify_construction(s, p3, p)
         assert rep.ok and rep.intermediate_count == 5 and rep.radius == 3
 
+    def test_equal_verdicts_share_one_report(self, k2):
+        # a sweep that keeps its reports holds one per verdict, not per scaffold
+        p, cov = two_k1_cover()
+        first, second = (verify_construction(build_scaffold(k2, p, cov, 1), k2, p)
+                         for _ in range(2))
+        assert first is second and first.ok
+
     def test_depth_one_under_noncomplete_center_fails(self, p3):
         p, cov = two_k1_cover()
         rep = verify_construction(build_scaffold(p3, p, cov, 1), p3, p)

@@ -161,8 +161,8 @@ def answers(max_n: int):
     for name, g in append_graphs:
         for k in STREAM_KS:
             for key, conds in PROFILE_CONDS.items():
-                stream = U.iter_covering_witnesses(g, k, conds)
                 try:
+                    stream = U.iter_covering_witnesses(g, k, conds)
                     ans = [w.to_json() for w in itertools.islice(stream, STREAM_HEAD)]
                 except U.BoundExceededError as e:
                     ans = {"error": "bound", "message": str(e)}
