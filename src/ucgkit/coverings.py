@@ -929,7 +929,7 @@ def construct_AB_bipartition(p: Graph) -> Covering:
     n = p.n
     seed = [ls[4] if len(ls) > 4 else 0 for ls in p.layers]
     if not any(seed):
-        seed = [p.full_mask & ~sum(ls) for ls in p.layers]
+        seed = p.ecc_masks
     x = next(u for u in range(n) if seed[u] >> u + 1)
     y = next(v for v in bits(seed[x]) if v > x)
     p1 = p.closed_masks[x]
@@ -968,7 +968,7 @@ PROFILE_CONDS = {
 
 
 def _component_split(p: Graph) -> Covering:
-    comp = sum(p.layers[0])
+    comp = p.full_mask & ~p.ecc_masks[0]
     return Covering(p, (frozenset(bits(comp)),
                         frozenset(bits(p.full_mask & ~comp))))
 

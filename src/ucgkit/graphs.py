@@ -9,16 +9,17 @@ set is infinite, and every ``distance >= t`` threshold is met by infinity.
 A graph stores its adjacency as one bitmask per vertex and nothing else.
 Every metric quantity comes from one all-pairs search, run once per graph
 the first time ``layers``, ``ecc`` or ``ecc_masks`` is read, which stores
-all three on the instance.  Up to ``PACKED_BFS_MAX_N`` vertices it is one
+its results on the instance.  Up to ``PACKED_BFS_MAX_N`` vertices it is one
 breadth-first search from every source at once over n packed fields of w
 bits, w the smallest of 8, 16, 32 and 64 above n (``all_sources_bfs``).
 Byte-aligned fields let one ``struct`` call convert every field at once:
 the adjacency rows are packed into the first level with one ``pack``,
 and the eccentricities and eccentric sets come out with one ``unpack``
-each.  The packed levels are kept as the layers and cut per vertex when
-read.  Above the cutoff it runs ``bfs_layers``, which grows the distance
-layers of one source set, once per vertex.  The balls are read off the
-layers.  Graphs are immutable, so the caches can never go stale.
+each.  The packed levels are kept, and the first read of ``layers`` cuts
+every vertex's layers out of them with one ``unpack`` per level.  Above
+the cutoff it runs ``bfs_layers``, which grows the distance layers of one
+source set, once per vertex.  The balls are read off the layers.  Graphs
+are immutable, so the caches can never go stale.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ class Graph:
 
     @cached_property
     def dist(self) -> None:
-        """Run the all-pairs search, write ``layers``, ``ecc`` and
-        ``ecc_masks`` into the instance dict, and return ``None``.
+        """Run the all-pairs search, write ``ecc`` and ``ecc_masks`` (and,
+        above the cutoff, ``layers``) into the instance dict, and return
+        ``None``.
 
         It stays a cached property only because ``perfbench`` times the
         distance kernel by tracing it; ROADMAP item 1 deletes it once the
@@ -212,12 +214,13 @@ class Graph:
 
         Up to ``PACKED_BFS_MAX_N`` vertices, ``all_sources_bfs`` searches
         from every source at once, at n multiplies per BFS level after the
-        first plus 2n shifts, and ``layers`` is a ``PackedLayers`` view of
-        its levels.  Its fields are w bits wide, a ``struct`` word each
+        first, and its levels are kept as ``_levels`` for ``layers`` to
+        cut.  Its fields are w bits wide, a ``struct`` word each
         (``_fields``), so ``ecc`` and ``ecc_masks`` are each read with one
         ``unpack`` of the packed depths and last layers.  Above the cutoff
         the packed integers grow as n*w bits and one ``bfs_layers`` per
-        source, which runs instead, is faster.
+        source, which runs instead, is faster; it builds the layers anyway,
+        so they are stored at once.
 
         A source's eccentricity and eccentric set are its depth and last
         layer as the search leaves them.  Only when some source misses a
@@ -233,18 +236,17 @@ class Graph:
             size = word.size
             ecc = word.unpack(depth.to_bytes(size, "little"))
             ecc_masks = word.unpack(last.to_bytes(size, "little"))
-            layers = PackedLayers(levels, n)
+            d["_levels"] = levels
             reach = () if seen == every else word.unpack(seen.to_bytes(size, "little"))
         else:
             runs = [bfs_layers(self.adj_masks, 1 << v) for v in range(n)]
-            layers = tuple([tuple(ls) for ls, _ in runs])
+            layers = d["layers"] = tuple([tuple(ls) for ls, _ in runs])
             ecc = [len(ls) - 1 for ls in layers]
             ecc_masks = [ls[-1] for ls in layers]
             reach = [seen for _, seen in runs]
         if reach:
             ecc = [e if r == full else INF for e, r in zip(ecc, reach)]
             ecc_masks = [m if r == full else full & ~r for m, r in zip(ecc_masks, reach)]
-        d["layers"] = layers
         d["ecc"] = tuple(ecc)
         d["ecc_masks"] = tuple(ecc_masks)
 
@@ -254,10 +256,23 @@ class Graph:
     #: Per vertex, the mask of its eccentric set: its last layer, or the
     #: vertices it does not reach when its eccentricity is infinite.
     ecc_masks = _FromDist()
-    #: Per vertex v, the masks of the vertices at distance 0, 1, .. from
-    #: v, up to v's last nonempty layer: a ``PackedLayers`` view up to
-    #: ``PACKED_BFS_MAX_N`` vertices, a tuple of tuples above it.
-    layers = _FromDist()
+
+    @cached_property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the masks of the vertices at distance 0, 1, ..
+        from v, up to v's last nonempty layer.  Up to ``PACKED_BFS_MAX_N``
+        vertices the first read pops the levels ``dist`` kept and cuts
+        every vertex's column out of them with one ``unpack`` per level,
+        ending it at its first empty field (a field stays empty once it
+        empties); above the cutoff ``dist`` has stored them.  Verification
+        reads only ``ecc`` and ``ecc_masks``, so it never cuts."""
+        self.dist
+        levels = self.__dict__.pop("_levels", None)
+        if levels is None:
+            return self.__dict__["layers"]
+        word = _fields(self.n)[-1]
+        cols = zip(*[word.unpack(x.to_bytes(word.size, "little")) for x in levels])
+        return tuple([c if c[-1] else c[:c.index(0)] for c in cols])
 
     def ball_masks(self, t: int) -> tuple[int, ...]:
         """Masks of the closed t-neighborhoods N_t[v]: the union of the
@@ -308,50 +323,10 @@ def adjacency_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return rows
 
 
-class PackedLayers(Sequence):
-    """The per-vertex layers held in the packed levels of
-    ``all_sources_bfs``: item v is the tuple of v's nonempty layers, cut
-    out of field v (bits v*w to v*w + n - 1) of each level when it is
-    read.  It stands for that tuple of tuples: slices are tuples of
-    per-vertex tuples, and it equals (and hashes as) the tuple of its
-    items, as ``layers`` above the cutoff is."""
-
-    __slots__ = ("_levels", "_shifts", "_full")
-
-    def __init__(self, levels: Sequence[int], n: int):
-        self._levels = levels
-        w = _fields(n)[0]
-        self._shifts = range(0, n * w, w)
-        self._full = (1 << n) - 1
-
-    def __len__(self) -> int:
-        return len(self._shifts)
-
-    def __getitem__(self, v: int | slice) -> tuple:
-        if isinstance(v, slice):
-            return tuple(self[u] for u in range(len(self))[v])
-        s, full = self._shifts[v], self._full
-        out = []
-        for level in self._levels:
-            layer = level >> s & full
-            if not layer:
-                break
-            out.append(layer)
-        return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (PackedLayers, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
 @lru_cache(maxsize=64)
-def _fields(n: int) -> tuple[int, int, int, int, int, struct.Struct]:
+def _fields(n: int) -> tuple[int, int, int, int, struct.Struct]:
     """For n fields of w bits, w the smallest of 8, 16, 32 and 64 above n
-    (so n <= 63): w; the lowest bit of every field; bit n (the guard) of
+    (so n <= 63): the lowest bit of every field; bit n (the guard) of
     every field; bit s of field s for every s; the n low bits of every
     field (every field full); and the little-endian ``struct`` of n
     unsigned w-bit words, whose ``pack`` and ``unpack`` convert between
@@ -360,7 +335,7 @@ def _fields(n: int) -> tuple[int, int, int, int, int, struct.Struct]:
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)
     guards = ones << n
     diag = ((1 << (w + 1) * n) - 1) // ((1 << (w + 1)) - 1)
-    return w, ones, guards, diag, guards - ones, struct.Struct(f"<{n}{code}")
+    return ones, guards, diag, guards - ones, struct.Struct(f"<{n}{code}")
 
 
 def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]:
@@ -383,7 +358,7 @@ def all_sources_bfs(adj_masks: Sequence[int]) -> tuple[list[int], int, int, int]
     each source's last nonempty layer.
     """
     n = len(adj_masks)
-    _, ones, guards, diag, every, word = _fields(n)
+    ones, guards, diag, every, word = _fields(n)
     levels = [diag]
     seen = last = diag
     depth = 0

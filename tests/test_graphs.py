@@ -172,10 +172,19 @@ class TestLayerKernelAgainstFloyd:
         Graph.cycle(CUTOFF), Graph.cycle(CUTOFF + 1),
         Graph(CUTOFF), Graph(CUTOFF + 1),
     ], ids=lambda g: f"n{g.n}m{g.m}")
-    def test_both_searches_at_the_cutoff(self, g):
+    def test_both_searches_at_the_cutoff(self, monkeypatch, g):
+        calls = []
+
+        def counted(kernel):
+            def wrapper(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+            return wrapper
+        for kernel in (graphs.all_sources_bfs, graphs.bfs_layers):
+            monkeypatch.setattr(graphs, kernel.__name__, counted(kernel))
         assert_metrics_match_floyd(g)
-        packed = isinstance(vars(g)["layers"], graphs.PackedLayers)
-        assert packed == (g.n <= CUTOFF)
+        expected = ["all_sources_bfs"] if g.n <= CUTOFF else ["bfs_layers"] * g.n
+        assert calls == expected
 
     @pytest.mark.parametrize("g", [
         pytest.param(g, id=f"{name}{n}")
@@ -191,6 +200,7 @@ class TestLayerKernelAgainstFloyd:
     def test_layers_behave_as_a_tuple_of_tuples(self, n):
         g, h = Graph.path(n), Graph.path(n)
         items = tuple(g.layers[v] for v in range(n))
+        assert type(g.layers) is tuple and all(type(ls) is tuple for ls in items)
         assert type(g.layers[1:3]) is tuple
         assert g.layers[1:3] == items[1:3] and g.layers[::-2] == items[::-2]
         assert g.layers[-1] == items[-1]

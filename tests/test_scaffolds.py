@@ -498,3 +498,11 @@ class TestLazyViews:
         assert U.appendage_number(k2, U.named_graph("2k2")).value == 2
         assert analyses
         assert all(self.built(a) == set() for a in analyses)
+
+    @pytest.mark.parametrize("build", ["layered", "refined", "cone"])
+    def test_verify_cuts_no_layers(self, p3, build):
+        # the packed search keeps its levels; only a read of layers cuts them
+        p, make = TestTracedChain.builder(p3, build)
+        s, c = make(), Graph(1) if build == "cone" else p3
+        assert verify_construction(s, c, p).ok
+        assert "layers" not in vars(s.graph)

@@ -30,8 +30,10 @@ def test_answer_digest_is_byte_stable():
     # one-sided variant; the 9 default-bound oracle cases, none over 4
     # vertices, and the 2 bound-30 cases without c5 or p5; the 11 atlas
     # graphs on 4 vertices, verified in 5 scaffold shapes; the 18 atlas
-    # graphs and 6 fixtures analyzed
+    # graphs and 6 fixtures analyzed; no UCG of radius >= 2 among them, so
+    # the induced coverings are those of the 15 witnesses with k2 and the
+    # 15 with p3 (one periphery per center has no finite value)
     assert Counter(r["op"] for r in records) == {
         "append": 48, "profile": 24, "stream": 128, "append-bounded": 12,
         "profile-bounded": 6, "center-only": 24, "periphery-only": 24, "oracle": 11,
-        "verify": 55, "analyze": 24}
+        "verify": 55, "analyze": 24, "induced": 30}

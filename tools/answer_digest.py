@@ -37,7 +37,11 @@ byte-identical answers, witnesses included.  The corpus is
 * last, ``ucg_analysis(G).to_json()`` over every atlas graph and every
   fixture: radius, diameter, the UCG test, center, centered periphery,
   intermediate vertices, strata and eccentric-set map, as the
-  ``analyze`` command writes them.
+  ``analyze`` command writes them;
+* ``induced_covering(H)``, its distance-1 vertices, blocks, kept blocks
+  and their private witnesses, for every atlas graph and fixture H that
+  is a UCG of radius >= 2, then for the witness graph of every ``append``
+  record with C in {k2, p3}.
 
 ``--max-n N`` keeps only the graphs with at most N vertices.  The package
 is imported from the path, so point ``PYTHONPATH`` at the version to
@@ -124,6 +128,14 @@ def scaffolds_sha256(scaffolds) -> str:
     return h.hexdigest()
 
 
+def induced_json(h: U.Graph) -> dict:
+    """``induced_covering(h)`` as a JSON-ready dict."""
+    res = U.induced_covering(h)
+    return {"d1": list(res.d1), "blocks": [sorted(b) for b in res.blocks],
+            "kept": list(res.kept),
+            "witnesses": {str(i): v for i, v in res.witnesses.items()}}
+
+
 def corpus(max_n: int) -> tuple[list[tuple[str, U.Graph]], list[tuple[str, U.Graph]]]:
     """(name, graph) pairs of the atlas graphs with n <= ``max_n`` and of
     the fixtures with at most ``max_n`` vertices."""
@@ -138,10 +150,13 @@ def answers(max_n: int):
     """Yield one JSON-ready record per answer, in a fixed order."""
     atlas, fixtures = corpus(max_n)
     append_graphs = [(name, g) for name, g in atlas if min(g.ecc) >= 2] + fixtures
+    witness_graphs = []
     for cname, c in CENTERS.items():
         for name, g in append_graphs:
-            yield {"op": "append", "center": cname, "graph": name,
-                   "answer": U.appendage_number(c, g).to_json()}
+            res = U.appendage_number(c, g)
+            if cname in ("k2", "p3") and res.witness is not None:
+                witness_graphs.append((cname, name, res.witness.graph))
+            yield {"op": "append", "center": cname, "graph": name, "answer": res.to_json()}
     profile_graphs = [(name, g) for name, g in atlas if g.n <= PROFILE_MAX_N] + fixtures
     for name, g in profile_graphs:
         yield {"op": "profile", "graph": name,
@@ -196,6 +211,12 @@ def answers(max_n: int):
                        "scaffolds": scaffolds_sha256(built)}
     for name, g in atlas + fixtures:
         yield {"op": "analyze", "graph": name, "answer": U.ucg_analysis(g).to_json()}
+    for name, g in atlas + fixtures:
+        a = U.ucg_analysis(g)
+        if a.is_ucg and a.radius >= 2:
+            yield {"op": "induced", "graph": name, "answer": induced_json(g)}
+    for cname, name, h in witness_graphs:
+        yield {"op": "induced", "center": cname, "graph": name, "answer": induced_json(h)}
 
 
 def main(argv: list[str] | None = None) -> int:
