@@ -16,8 +16,8 @@ from typing import Mapping
 
 from .coverings import Covering
 from .errors import NotSpanningSubgraphError, NotUcgError, RadiusTooSmallError
-from .graphs import (INF, Dist, Graph, bfs_layers, bits, induced_subgraph, json_number,
-                     metric_profile)
+from .graphs import (INF, Dist, Graph, bfs_layers, bits, check_vertices, induced_subgraph,
+                     json_number, metric_profile)
 
 
 def _vertices(g: Graph, vs) -> dict:
@@ -92,6 +92,7 @@ class UcgAnalysis:
 
 def eccentric_set(g: Graph, v: int) -> frozenset[int]:
     """EC(v): the vertices realizing v's eccentricity."""
+    check_vertices(g, (v,))
     return frozenset(bits(g.ecc_masks[v]))
 
 
@@ -195,5 +196,6 @@ def distance_preserving_spanning_check(h: Graph, g: Graph,
         raise NotSpanningSubgraphError("vertex sets differ")
     if any(gm & ~hm for gm, hm in zip(g.adj_masks, h.adj_masks)):
         raise NotSpanningSubgraphError("edge set is not a subset of the host's")
+    check_vertices(h, center_set)
     # the layers from c fix every distance from c, infinite ones included
     return all(g.layers[c] == h.layers[c] for c in center_set)

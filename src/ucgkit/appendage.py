@@ -7,11 +7,14 @@ exact minimum-covering decisions over p:
 
 * radius(p) <= 1: impossible, infinity.
 * c a single vertex: 0, witnessed by the cone over p.
-* c complete on n >= 2 vertices: kappa = cov_A(p); the answer is kappa
-  when a size-kappa covering also satisfies B, else kappa + 1.
-* c non-complete: the answer is 2*kappa, 2*kappa + 1 or 2*kappa + 2,
-  decided by whether size-kappa coverings satisfying A'+B', A' alone, or
-  A+A''+B'' (refined) exist.
+* c complete on n >= 2 vertices: the ladder kappa, kappa + 1 over
+  kappa = cov_A(p); kappa when a size-kappa covering meeting A and B
+  builds the depth-1 scaffold minus its apex, else kappa + 1.
+* c non-complete: the ladder 2*kappa, 2*kappa + 1, 2*kappa + 2; 2*kappa
+  when a size-kappa covering meeting A' and B' builds the depth-2
+  scaffold minus its apex chain, else 2*kappa + 1 when one meeting A'
+  builds it minus its apex tip or a refined one meeting A, A'' and B''
+  builds the refined scaffold, else 2*kappa + 2.
 
 Every finite answer ships with a witness scaffold that is re-verified on
 the spot - wrong covering decisions cannot produce a silently wrong
@@ -32,7 +35,6 @@ centered periphery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 
 from .coverings import (PROFILE_CONDS, Unknown, cov_A, decide_bound,
@@ -147,6 +149,18 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
 
 
 def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageResult:
+    """A_ucg(c, p), with its certificates and a verified witness.
+
+    Past the two shortcuts (radius(p) <= 1, a single-vertex center), the
+    value sits on a short ladder over kappa = cov_A(p): kappa or kappa + 1
+    for a complete center, 2*kappa, 2*kappa + 1 or 2*kappa + 2 otherwise.
+    Each rung below the top names the routes that can realize its value,
+    tried in order; a built route answers.  Once a rung's routes have all
+    run, the first whose status does not rule the value out exactly leaves
+    an ``Unknown`` from the rung's value to the top, and otherwise the walk
+    moves up one rung.  The top value is realized by cov_A's witness on the
+    full scaffold of the ladder's apex depth.
+    """
     prof = metric_profile(p)
     if prof.radius <= 1:
         return AppendageResult(INF, "infeasible: radius(P) <= 1",
@@ -162,65 +176,46 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     certs: dict = {"kappa": kappa, "cov_A_witness": res_a.witness.to_json(),
                    "radius": json_number(prof.radius),
                    "diameter": json_number(prof.diameter)}
-    route = partial(_route, c, p, prof, kappa, bound, certs)
-    center = _complete_center if c.is_complete else _general_center
-    value, case, witness = center(c, p, kappa, res_a.witness, bound, route)
-    return AppendageResult(value, case, certs, witness)
+    # rungs are (value, routes, case when left open), routes (profile key,
+    # scaffold builder, statuses that rule the value out exactly)
+    if c.is_complete:
+        # "no-build" leaves kappa open: coverings meet A and B, yet no
+        # construction checks out
+        kind, rungs = "complete center", [
+            (kappa, [("AB", lambda w: build_scaffold(c, p, w, 1, drop=(1,)),
+                      ("no-witness",))], "cov_AB undecided ({reason})")]
+        top, rho, top_case = kappa + 1, 1, "cov_AB>kappa ({reason})"
+    else:
+        # a graph realizing 2*kappa contains a buildable A'B' covering as a
+        # spanning-subgraph certificate; one realizing 2*kappa+1 contains an
+        # A' covering or, with a heavy second stratum, a buildable refined one
+        kind, rungs = "general center", [
+            (2 * kappa, [("A'B'", lambda w: build_scaffold(c, p, w, 2, drop=(1, 2)),
+                          ("no-witness", "no-build"))], "cov_A'B' undecided ({reason})"),
+            (2 * kappa + 1, [("A'", lambda w: build_scaffold(c, p, w, 2, drop=(2,)),
+                              ("no-witness",)),
+                             ("AA''B''", lambda w: build_refined_scaffold(c, p, w),
+                              ("no-witness", "no-build"))], "2k+1 shapes undecided")]
+        top, rho, top_case = (2 * kappa + 2, 2,
+                              "no size-kappa covering meets A'+B', A', or A+A''+B''")
 
-
-def _complete_center(c, p, kappa, cov_a_wit, bound, route):
-    # value is kappa exactly when a size-kappa covering meeting A and B
-    # admits a verifying depth-1 construction minus the apex
-    r = route("AB", lambda w: build_scaffold(c, p, w, 1, drop=(1,)), kappa)
-    if r.status == "built":
-        return kappa, f"complete center: cov_AB=kappa ({r.reason})", r.scaffold
-    if r.status == "no-witness":
-        return (kappa + 1, f"complete center: cov_AB>kappa ({r.reason})",
-                _verified(build_scaffold(c, p, cov_a_wit, 1), c, p, kappa + 1))
-    # "no-build" keeps the covering-size equivalence out of reach for
-    # this instance (coverings meet A and B but no construction checks
-    # out), and "vertex-bound"/"witness-cap" means the search could not finish
-    return (Unknown(kappa, kappa + 1, bound, r.status),
-            f"complete center: cov_AB undecided ({r.reason})", None)
-
-
-def _general_center(c, p, kappa, cov_a_wit, bound, route):
-    # 2*kappa  <=>  some size-kappa covering meeting A' and B' builds;
-    # a graph realizing 2*kappa always contains such a buildable covering
-    # as a spanning-subgraph certificate, so a fully walked stream with
-    # no verifying construction rules the value out exactly.
-    r1 = route("A'B'", lambda w: build_scaffold(c, p, w, 2, drop=(1, 2)), 2 * kappa)
-    if r1.status == "built":
-        return 2 * kappa, f"general center: cov_A'B'=kappa ({r1.reason})", r1.scaffold
-    if r1.status in ("vertex-bound", "witness-cap"):
-        return (Unknown(2 * kappa, 2 * kappa + 2, bound, r1.status),
-                f"general center: cov_A'B' undecided ({r1.reason})", None)
-
-    # 2*kappa+1, first shape: depth-2 scaffold minus the apex tip over a
-    # size-kappa covering meeting A'
-    r2 = route("A'", lambda w: build_scaffold(c, p, w, 2, drop=(2,)), 2 * kappa + 1)
-    if r2.status == "built":
-        return 2 * kappa + 1, f"general center: cov_A'=kappa ({r2.reason})", r2.scaffold
-
-    # 2*kappa+1, second shape: the refined scaffold; a graph realizing
-    # 2*kappa+1 with a heavy second stratum always contains a buildable
-    # refined covering, so "no-build" here is an exact exclusion
-    r3 = route("AA''B''", lambda w: build_refined_scaffold(c, p, w), 2 * kappa + 1)
-    if r3.status == "built":
-        return (2 * kappa + 1, f"general center: cov_AA''B''=kappa ({r3.reason})",
-                r3.scaffold)
-
-    # endgame: 2*kappa+2 is exact when the A'-route had no covering at
-    # all and the refined route was walked to the end, because a graph
-    # realizing 2*kappa+1 would force one of those certificates
-    if r2.status == "no-witness" and r3.status in ("no-witness", "no-build"):
-        return (2 * kappa + 2,
-                "general center: no size-kappa covering meets A'+B', A', or A+A''+B''",
-                _verified(build_scaffold(c, p, cov_a_wit, 2), c, p, 2 * kappa + 2))
-    # the route that left 2*kappa+1 open: A' unless it had no covering
-    stop = (r3 if r2.status == "no-witness" else r2).status
-    return (Unknown(2 * kappa + 1, 2 * kappa + 2, bound, stop),
-            "general center: 2k+1 shapes undecided", None)
+    for value, routes, open_case in rungs:
+        stop = None
+        for key, builder, exact in routes:
+            r = _route(c, p, prof, kappa, bound, certs, key, builder, value)
+            if r.status == "built":
+                return AppendageResult(value, f"{kind}: cov_{key}=kappa ({r.reason})",
+                                       certs, r.scaffold)
+            if stop is None and r.status not in exact:
+                stop = r
+        if stop is not None:
+            return AppendageResult(Unknown(value, top, bound, stop.status),
+                                   f"{kind}: {open_case.format(reason=stop.reason)}",
+                                   certs, None)
+    # the top case quotes the reason of the last route run
+    witness = _verified(build_scaffold(c, p, res_a.witness, rho), c, p, top)
+    return AppendageResult(top, f"{kind}: {top_case.format(reason=r.reason)}",
+                           certs, witness)
 
 
 # --------------------------------------------------------------------------

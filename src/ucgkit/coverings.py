@@ -406,7 +406,7 @@ def cov_A(p: Graph) -> CovSizeResult:
     best = _min_set_cover(cands, full)
     blocks = tuple(frozenset(bits(m)) for m in sorted(best, key=lambda m: min(bits(m))))
     witness = Covering(p, blocks)
-    if not check_condition(witness, "A").passed:
+    if not covering_passes(witness, ("A",)):
         raise InternalCheckError("set-cover witness failed condition A re-check")
     return CovSizeResult("A", len(best), witness, "set-cover")
 
@@ -948,7 +948,7 @@ def construct_AB_bipartition(p: Graph) -> Covering:
             p1 |= 1 << z
             p2 |= far & -far
     cov = Covering(p, (frozenset(bits(p1)), frozenset(bits(p2))))
-    if not all(check_condition(cov, name).passed for name in ("A", "B")):
+    if not covering_passes(cov, ("A", "B")):
         raise InternalCheckError("recursive bipartition failed its A/B re-check")
     return cov
 

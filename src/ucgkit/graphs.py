@@ -209,8 +209,11 @@ class Graph:
 
         It stays a cached property only because ``perfbench`` times the
         distance kernel by tracing it; ROADMAP item 1 deletes it once the
-        tracer times ``layers``.  It returns ``None``, not the layers, so
-        that a reader indexing it as a distance matrix fails loudly.
+        tracer times the kernels themselves, ``all_sources_bfs`` and
+        ``bfs_layers`` (a ``layers`` span would miss the search, since
+        verification never reads ``layers``).  It returns ``None``, not the
+        layers, so that a reader indexing it as a distance matrix fails
+        loudly.
 
         Up to ``PACKED_BFS_MAX_N`` vertices, ``all_sources_bfs`` searches
         from every source at once, at n multiplies per BFS level after the
@@ -307,6 +310,14 @@ class Graph:
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels else str(v)
+
+
+def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    """Raise ``ValueError`` unless every id in ``vertices`` names a vertex
+    of g, an integer in ``0..n-1``."""
+    bad = sorted(v for v in vertices if not 0 <= v < g.n)
+    if bad:
+        raise ValueError(f"vertex ids {bad} out of range for n={g.n}")
 
 
 def adjacency_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -434,6 +445,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     old = tuple(sorted(set(vertices)))
     if not old:
         raise ValueError("induced subgraph needs at least one vertex")
+    check_vertices(g, old)
     index = {o: i for i, o in enumerate(old)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     labels = tuple(g.label_of(o) for o in old) if g.labels else None

@@ -186,6 +186,12 @@ class TestSpanningCheck:
             U.distance_preserving_spanning_check(
                 Graph.path(3), Graph(3, [(0, 2)]), {0})
 
+    @pytest.mark.parametrize("center", [{-1}, {7}, {0, 3}])
+    def test_ids_outside_the_graph_are_refused(self, center):
+        g = Graph.path(3)
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            U.distance_preserving_spanning_check(g, g, center)
+
     def test_preserving_subgraph_of_ucg_stays_ucg(self, k2):
         # drop one apex-foot edge of a verified scaffold and re-check
         tk1 = Graph.empty(2)

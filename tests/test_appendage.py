@@ -90,6 +90,25 @@ class TestAppendageNumber:
         assert res.certificates["cov_A'_decision"]["status"] == "no-witness"
         assert res.certificates["cov_AA''B''_decision"]["status"] == "vertex-bound"
 
+    @pytest.mark.parametrize("name, bound, value, keys", [
+        ("2k2", None, 4, ["cov_A'B'_decision", "witness_covering"]),
+        ("c5", 4, Unknown(6, 8, 4, "vertex-bound"), ["cov_A'B'_decision"]),
+        ("prism7", 10, Unknown(5, 6, 10, "vertex-bound"),
+         ["cov_A'B'_decision", "cov_A'_decision", "cov_AA''B''_decision"]),
+        ("p4", None, 6,
+         ["cov_A'B'_decision", "cov_A'_decision", "cov_AA''B''_decision"])])
+    def test_certificates_at_each_exit_of_the_general_ladder(self, p3, name, bound,
+                                                             value, keys):
+        # the decisions of the routes run, in order, and the covering of
+        # a built route; the top adds no decision of its own
+        res = appendage_number(p3, U.named_graph(name), bound=bound)
+        assert res.value == value
+        assert list(res.certificates) == ["kappa", "cov_A_witness", "radius",
+                                          "diameter", *keys]
+        if name == "p4":
+            assert res.case == ("general center: no size-kappa covering meets"
+                                " A'+B', A', or A+A''+B''")
+
     def test_json_serialization(self, k2):
         res = appendage_number(k2, U.named_graph("2k2"))
         d = res.to_json()

@@ -330,3 +330,15 @@ class TestInducedSubgraph:
         g = Graph(3, [(0, 1)], labels=["x", "y", "z"])
         sub, _ = induced_subgraph(g, [0, 2])
         assert sub.labels == ("x", "z")
+
+    @pytest.mark.parametrize("vertices", [[0, 5], [-1, 0], [3]])
+    def test_ids_outside_the_graph_are_refused(self, vertices):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            induced_subgraph(Graph.path(3), vertices)
+
+
+class TestEccentricSet:
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_ids_outside_the_graph_are_refused(self, v):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            eccentric_set(Graph.path(3), v)
