@@ -264,17 +264,20 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
     For each t the free edge slots are all pairs except those inside c
     and inside p, whose edges are fixed; the nominal count is
     f(t) = |C||P| + t(|C|+|P|) + t(t-1)/2 and every tried t must satisfy
-    f(t) <= bound.  Two sound reductions.  For t >= 1 no center-periphery
-    edge can occur (such an edge would force the common center
-    eccentricity to 1, putting the added vertices into the eccentric set
-    of every central vertex, which the periphery must equal).  And the
+    f(t) <= bound.  Two sound reductions.  No center-periphery edge can
+    occur for t >= 1, nor for t = 0 with |C| >= 2: such an edge would
+    force the common center eccentricity to 1, putting the added vertices,
+    or a second center vertex, into the eccentric set of every central
+    vertex, which the periphery must equal; and with |C| >= 2 at t = 0 a
+    host without one is disconnected.  So only t = 0 with |C| = 1 walks
+    the center-periphery edge sets.  And the
     added vertices' attachment columns (each one's neighbors in c and p)
     are tried in sorted order only, under every added-added edge set:
     acceptance treats the added vertices alike, so permuting them to sort
     their columns maps every host to a tried one.  Each tried host is one
     packed integer (row u at bits [u*n, (u+1)*n)): the fixed edges plus
-    one table entry per byte of the added-added (for t = 0, the
-    center-periphery) edge mask and one per column.  Acceptance walks
+    one table entry per byte of the added-added (for t = 0 and |C| = 1,
+    the center-periphery) edge mask and one per column.  Acceptance walks
     the host from scratch with its own breadth-first search, independent
     of the kernel it checks: every c-vertex must see exactly the
     p-vertices as its eccentric set, at one common eccentricity r*, and
@@ -299,10 +302,12 @@ def brute_force_appendage(c: Graph, p: Graph, t_max: int,
 
 def _oracle_hosts(nc: int, np_: int, t: int):
     """The free edges of each host the oracle tries, packed (row u at bits
-    [u*n, (u+1)*n)).  For t = 0 every subset of the C-P pairs.  For
-    t >= 1, for each added-added edge mask in increasing order, each
-    non-decreasing tuple of attachment columns (added vertex x's
-    neighbors in C and P, one table entry per column)."""
+    [u*n, (u+1)*n)).  For t = 0 every subset of the C-P pairs when
+    |C| = 1, and for |C| >= 2 the one host with no free edge, as no C-P
+    edge can occur (see ``brute_force_appendage``).  For t >= 1, for each
+    added-added edge mask in increasing order, each non-decreasing tuple
+    of attachment columns (added vertex x's neighbors in C and P, one
+    table entry per column)."""
     m, n = nc + np_, nc + np_ + t
     added = range(m, n)
 
@@ -313,7 +318,7 @@ def _oracle_hosts(nc: int, np_: int, t: int):
         pairs = [(x, y) for x in added for y in added if x < y]
         parts = [subset_table([edge(b, x) for b in range(m)]) for x in added]
     else:
-        pairs = [(u, v) for u in range(nc) for v in range(nc, m)]
+        pairs = [(0, v) for v in range(nc, m)] if nc == 1 else []
     # one table per byte of the edge mask: the edges are disjoint bit
     # sets, so a mask's edges are the sum of its bytes' entries
     edges = [edge(u, v) for u, v in pairs]

@@ -60,8 +60,7 @@ class Covering:
         for blk in self.blocks:
             if not blk:
                 raise ValueError("covering blocks must be nonempty")
-            m = mask_of(blk)
-            if m & ~self.host.full_mask:
+            if min(blk) < 0 or (m := mask_of(blk)) & ~self.host.full_mask:
                 raise ValueError("block contains out-of-range vertices")
             union |= m
         if union != self.host.full_mask:
@@ -396,34 +395,51 @@ def cov_A(p: Graph) -> CovSizeResult:
     vertex, and every closed-neighborhood complement is itself a valid
     block; so the minimum equals a minimum set cover by the (nonempty)
     complements V \\ N[q].  Infeasible exactly when the radius is <= 1.
+    The cover is computed once per graph: its checked blocks, or ``()``
+    when infeasible, are kept in p's instance dict, and each call builds
+    an equal result from them.  The result itself is not kept, as its
+    witness refers back to p.
     """
-    if metric_profile(p).radius <= 1:
+    blocks = p.__dict__.get("_cov_A_blocks")
+    if blocks is None:
+        blocks = p.__dict__["_cov_A_blocks"] = _min_A_blocks(p)
+    if not blocks:
         return CovSizeResult("A", INFEASIBLE, None, "set-cover")
+    return CovSizeResult("A", len(blocks), Covering(p, blocks), "set-cover")
+
+
+def _min_A_blocks(p: Graph) -> tuple[frozenset[int], ...]:
+    """The blocks of ``cov_A``'s witness, in order of their least vertex,
+    re-checked against condition A; ``()`` when the radius is <= 1."""
+    if metric_profile(p).radius <= 1:
+        return ()
     full = p.full_mask
     cands = sorted({full & ~c for c in p.closed_masks})
-    cands = [m for m in cands
-             if not any(o != m and m & ~o == 0 for o in cands)]
+    # a strict superset is a larger number, so only later candidates dominate
+    cands = [m for i, m in enumerate(cands)
+             if not any(m & ~o == 0 for o in cands[i + 1:])]
     best = _min_set_cover(cands, full)
-    blocks = tuple(frozenset(bits(m)) for m in sorted(best, key=lambda m: min(bits(m))))
-    witness = Covering(p, blocks)
-    if not covering_passes(witness, ("A",)):
+    blocks = tuple(frozenset(bits(m)) for m in sorted(best, key=lambda m: m & -m))
+    if not covering_passes(Covering(p, blocks), ("A",)):
         raise InternalCheckError("set-cover witness failed condition A re-check")
-    return CovSizeResult("A", len(best), witness, "set-cover")
+    return blocks
 
 
 def _min_set_cover(cands: list[int], universe: int) -> list[int]:
     """Exact minimum set cover by branch and bound (inputs are tiny)."""
-    # greedy upper bound
+    # greedy upper bound; meeting the root's lower bound, it is the answer
     greedy: list[int] = []
     left = universe
     while left:
         pick = max(cands, key=lambda m: (m & left).bit_count())
         greedy.append(pick)
         left &= ~pick
+    max_size = max(m.bit_count() for m in cands)
+    if len(greedy) <= -(-universe.bit_count() // max_size):
+        return greedy
     best: list[list[int]] = [greedy]
 
     cover_count = {v: sum(1 for m in cands if m >> v & 1) for v in bits(universe)}
-    max_size = max(m.bit_count() for m in cands)
 
     def rec(left: int, chosen: list[int]):
         if not left:

@@ -309,6 +309,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def label_of(self, v: int) -> str:
+        check_vertices(self, (v,))
         return self.labels[v] if self.labels else str(v)
 
 

@@ -329,14 +329,15 @@ class TestBruteForce:
         assert len(masks) == 47_872
         assert len({_orbit_minimum(m, pairs, range(5, 8)) for m in masks}) == 45_760
 
-    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3),
+                                          (2, 3, 0)])
     def test_hosts_touch_no_fixed_slot(self, nc, np_, t):
-        # no edge inside C, inside P or on the diagonal, and for t >= 1
-        # no C-P edge; every row agrees with its column
+        # no edge inside C, inside P or on the diagonal, and no C-P edge
+        # unless t = 0 and |C| = 1; every row agrees with its column
         m, n = nc + np_, nc + np_ + t
         slots = [(u, v) for u in range(n) for v in range(n)
                  if u == v or u < nc and v < nc or nc <= u < m and nc <= v < m
-                 or t and (u < nc <= v < m or v < nc <= u < m)]
+                 or (t or nc > 1) and (u < nc <= v < m or v < nc <= u < m)]
         fixed = sum(1 << (u * n + v) for u, v in slots)
         for host in _oracle_hosts(nc, np_, t):
             assert host & fixed == 0
@@ -354,17 +355,19 @@ class TestBruteForce:
     # one); columns over 2 to 9 vertices, a table wider than a byte;
     # 0 to 6 added-added pairs
     @pytest.mark.parametrize("nc,np_,t", [(1, 2, 0), (3, 4, 1), (1, 4, 2), (2, 2, 3),
-                                          (3, 3, 0), (3, 6, 1), (1, 1, 4)])
+                                          (1, 9, 0), (3, 6, 1), (1, 1, 4)])
     def test_host_tables_match_the_bit_walk(self, nc, np_, t):
         # the hosts, in order: for each added-added edge mask, each sorted
-        # column tuple, every edge set bit by bit
+        # column tuple, every edge set bit by bit; at t = 0 the C-P pairs
+        # are free only for |C| = 1
         m, n = nc + np_, nc + np_ + t
         added = range(m, n)
         if t:
             outer = [(x, y) for x in added for y in added if x < y]
             inner = list(itertools.combinations_with_replacement(range(1 << m), t))
         else:
-            outer, inner = [(u, v) for u in range(nc) for v in range(nc, m)], [()]
+            outer = [(u, v) for u in range(nc) for v in range(nc, m)] if nc == 1 else []
+            inner = [()]
         expect = []
         for mask in range(1 << len(outer)):
             for cols in inner:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,10 @@ class TestCoveringType:
     def test_blocks_nonempty(self):
         with pytest.raises(ValueError):
             cover(Graph.path(3), {0, 1, 2}, set())
+
+    def test_negative_vertex_is_out_of_range(self):
+        with pytest.raises(ValueError, match="out-of-range"):
+            cover(Graph.path(3), {-1}, {1, 2})
 
     def test_refined_validation(self):
         c = cover(Graph.path(3), {0, 1}, {2})
@@ -220,6 +226,41 @@ class TestCovA:
             res = cov_A(g)
             assert check_condition(res.witness, "A").passed
             assert len(res.witness.blocks) == res.value
+
+    def test_set_cover_runs_once_per_graph(self, monkeypatch, k2, p3):
+        runs = []
+        run = U.coverings._min_set_cover
+        monkeypatch.setattr(U.coverings, "_min_set_cover",
+                            lambda *args: runs.append(args) or run(*args))
+        for p in (Graph.cycle(6), Graph.path(5)):
+            U.appendage_number(k2, p)
+            U.appendage_number(p3, p)
+            cov_profile(p)
+        assert len(runs) == 2
+
+    def test_answers_do_not_depend_on_call_order(self, k2, p3):
+        asks = (lambda p: U.appendage_number(k2, p).to_json(),
+                lambda p: U.appendage_number(p3, p).to_json(),
+                lambda p: {key: r.to_json() for key, r in cov_profile(p).items()})
+        for make in (lambda: Graph.cycle(6), lambda: Graph.path(5),
+                     lambda: Graph.empty(3)):
+            fresh = [ask(make()) for ask in asks]
+            for order in itertools.permutations(range(3)):
+                p = make()
+                assert {i: asks[i](p) for i in order} == dict(enumerate(fresh))
+
+    def test_store_holds_no_reference_to_its_graph(self):
+        # no cycle: the graph dies on its last reference, without gc
+        gc.disable()
+        try:
+            for make in (lambda: Graph.cycle(6), lambda: Graph.star(3)):
+                g = make()
+                ref = weakref.ref(g)
+                cov_A(g)
+                del g
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_set_cover_equals_decide_minimum(self):
         # the set-cover reduction and the generic decision procedure agree

@@ -58,6 +58,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, **kwargs)
 
+    @pytest.mark.parametrize("labels", [None, "abc"])
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_label_of_checks_the_vertex(self, labels, v):
+        g = Graph(3, [(0, 1)], labels)
+        assert g.label_of(2) == ("c" if labels else "2")
+        with pytest.raises(ValueError, match="out of range"):
+            g.label_of(v)
+
     def test_named_constructors(self):
         assert Graph.complete(4).m == 6
         assert Graph.path(5).m == 4
