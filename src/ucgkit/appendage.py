@@ -86,44 +86,26 @@ def _verified(s: Scaffold, c: Graph, p: Graph, expect: int) -> Scaffold:
     return s
 
 
-@dataclass(frozen=True)
-class _Route:
-    """Outcome of hunting one construction shape for a value.
+def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
+           key: str, builder, expect: int):
+    """Find a size-kappa covering meeting the conditions of profile key
+    ``key`` whose construction ``builder(covering)`` verifies with
+    ``expect`` intermediate vertices; return (status, reason, covering,
+    scaffold), the last two ``None`` unless the status is "built".
 
     status: "built" (witness graph verified), "no-witness" (no covering
     meets the conditions at size kappa), "no-build" (coverings meet the
     conditions but none of their constructions verified - overlap
-    degeneracy), "vertex-bound"/"witness-cap" (search could not finish).
-    The unfinished statuses are ``Unknown`` stop words.
-    """
-
-    status: str
-    reason: str
-    scaffold: Scaffold | None = None
-
-
-def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
-           certs: dict, key: str, builder, expect: int) -> _Route:
-    """Find a size-kappa covering meeting the conditions of profile key
-    ``key`` whose construction ``builder(covering)`` verifies with
-    ``expect`` intermediate vertices, and record the outcome in ``certs``
-    as ``cov_{key}_decision`` and, once built, ``witness_covering``.
-
-    At kappa = 2 the key's size-2 facts come first: one may rule the
-    covering out, or hand over a theory-backed witness to try; so do the
-    singletons at kappa = n.  If that disappoints, the witness stream is
-    walked in order, so a "no-build" answer means every
-    condition-passing covering was tried, up to a permutation of its
-    blocks, which gives an isomorphic scaffold."""
-    def done(status, reason, witness=None, scaffold=None):
-        certs[f"cov_{key}_decision"] = {"status": status, "reason": reason}
-        if witness is not None:
-            certs["witness_covering"] = witness.to_json()
-        return _Route(status, reason, scaffold)
-
+    degeneracy), "vertex-bound"/"witness-cap" (search could not finish,
+    the ``Unknown`` stop words).  At kappa = 2 the key's size-2 facts come
+    first: one may rule the covering out, or hand over a theory-backed
+    witness to try; so do the singletons at kappa = n.  If that
+    disappoints, the witness stream is walked in order, so a "no-build"
+    answer means every condition-passing covering was tried, up to a
+    permutation of its blocks, which gives an isomorphic scaffold."""
     fact = two_block_fact(p, prof, key) if kappa == 2 else None
     if fact is not None and fact.build is None:
-        return done("no-witness", fact.reason)
+        return "no-witness", fact.reason, None, None
 
     theory = [] if fact is None else [(fact.build(p), fact.reason)]
     if kappa == p.n:
@@ -131,21 +113,22 @@ def _route(c: Graph, p: Graph, prof: MetricProfile, kappa: int, bound: int,
     for wit, reason in theory:
         s = builder(wit)
         if _verifies(s, c, p, expect):
-            return done("built", reason, wit, s)
+            return "built", reason, wit, s
     try:
         stream = iter_covering_witnesses(p, kappa, PROFILE_CONDS[key], bound)
     except BoundExceededError:
-        return done("vertex-bound", f"bound exceeded at k={kappa}")
+        return "vertex-bound", f"bound exceeded at k={kappa}", None, None
     tried = 0
     for tried, wit in enumerate(stream, 1):
         s = builder(wit)
         if _verifies(s, c, p, expect):
-            return done("built", f"decide@k={kappa}", wit, s)
+            return "built", f"decide@k={kappa}", wit, s
         if tried >= WITNESS_RETRY_CAP:
-            return done("witness-cap", f"witness retry cap at k={kappa}")
+            return "witness-cap", f"witness retry cap at k={kappa}", None, None
     if not tried:
-        return done("no-witness", f"exhausted@k={kappa}")
-    return done("no-build", f"conditions met at k={kappa}, no construction verified")
+        return "no-witness", f"exhausted@k={kappa}", None, None
+    return ("no-build", f"conditions met at k={kappa}, no construction verified",
+            None, None)
 
 
 def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageResult:
@@ -202,19 +185,22 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     for value, routes, open_case in rungs:
         stop = None
         for key, builder, exact in routes:
-            r = _route(c, p, prof, kappa, bound, certs, key, builder, value)
-            if r.status == "built":
-                return AppendageResult(value, f"{kind}: cov_{key}=kappa ({r.reason})",
-                                       certs, r.scaffold)
-            if stop is None and r.status not in exact:
-                stop = r
+            status, reason, wit, s = _route(c, p, prof, kappa, bound, key, builder, value)
+            certs[f"cov_{key}_decision"] = {"status": status, "reason": reason}
+            if status == "built":
+                certs["witness_covering"] = wit.to_json()
+                return AppendageResult(value, f"{kind}: cov_{key}=kappa ({reason})",
+                                       certs, s)
+            if stop is None and status not in exact:
+                stop = status, reason
         if stop is not None:
-            return AppendageResult(Unknown(value, top, bound, stop.status),
-                                   f"{kind}: {open_case.format(reason=stop.reason)}",
+            status, reason = stop
+            return AppendageResult(Unknown(value, top, bound, status),
+                                   f"{kind}: {open_case.format(reason=reason)}",
                                    certs, None)
     # the top case quotes the reason of the last route run
     witness = _verified(build_scaffold(c, p, res_a.witness, rho), c, p, top)
-    return AppendageResult(top, f"{kind}: {top_case.format(reason=r.reason)}",
+    return AppendageResult(top, f"{kind}: {top_case.format(reason=reason)}",
                            certs, witness)
 
 

@@ -118,9 +118,12 @@ def parse_edge_list(text: str) -> Graph:
             raise MalformedInputError(f"bad edge line: {ln!r}") from exc
         edges.append((u, v))
     try:
-        return Graph(n, edges)
+        g = Graph(n, edges)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
+    if g.m != m:
+        raise MalformedInputError(f"{m} edge lines name only {g.m} distinct edges")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

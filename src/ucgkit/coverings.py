@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
-from .graphs import Graph, MetricProfile, bits, mask_of, metric_profile, subset_table
+from .graphs import (Graph, MetricProfile, bits, check_vertices, mask_of, metric_profile,
+                     subset_table)
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 #: The conditions read on the split of block 0; a set holding one is refined.
@@ -56,13 +58,15 @@ class Covering:
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("covering needs at least one block")
+        try:
+            check_vertices(self.host, chain.from_iterable(self.blocks))
+        except ValueError as exc:
+            raise ValueError(f"block contains out-of-range vertices: {exc}") from None
         union = 0
         for blk in self.blocks:
             if not blk:
                 raise ValueError("covering blocks must be nonempty")
-            if min(blk) < 0 or (m := mask_of(blk)) & ~self.host.full_mask:
-                raise ValueError("block contains out-of-range vertices")
-            union |= m
+            union |= mask_of(blk)
         if union != self.host.full_mask:
             raise ValueError("covering blocks must cover every vertex")
 
@@ -1065,12 +1069,13 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     disconnected graphs; cov_{A'} = 2 exactly for diameter >= 5; and
     cov_{AA''B''} = 2 needs diameter >= 4, radius >= 3 and (at diameter
     exactly 4) a vertex triple with empty common 2-ball intersection.
-    These are the rows of ``TWO_BLOCK_FACTS``.  Everything left over goes
-    to the bounded decision procedure, tried at k = 2, 3 and kappa; kappa
-    = n is settled by the singletons.  What it cannot settle is reported
-    UNKNOWN with the bound in force and whether that bound
-    (``stop="vertex-bound"``) or the end of those block counts
-    (``stop="ladder"``) stopped it.
+    These are the rows of ``TWO_BLOCK_FACTS``.  The two theory witnesses,
+    a fact's size-2 covering and the singletons at kappa = n, are
+    re-checked at one site and answer under their method.  Every other
+    key goes up the bounded decision procedure's block counts
+    (``_decide_ladder``); what it cannot settle is reported UNKNOWN with
+    the bound in force and whether that bound (``stop="vertex-bound"``)
+    or the end of those block counts (``stop="ladder"``) stopped it.
     """
     res_a = cov_A(p)
     if not res_a.found:
@@ -1079,43 +1084,37 @@ def cov_profile(p: Graph, bound: int | None = None) -> dict[str, CovSizeResult]:
     out = {"A": res_a}
     kappa = res_a.value
     prof = metric_profile(p)
-    n = p.n
-
-    def settle(key: str, lo: int, shortcut: str | None) -> CovSizeResult:
-        conds = PROFILE_CONDS[key]
-        lo = max(lo, kappa)
-        if kappa == n:      # singletons meet every condition set at radius >= 2
-            wit = singleton_witness(p, key)
-            if not covering_passes(wit, conds):
-                raise InternalCheckError(f"singleton witness failed its {key} re-check")
-            return CovSizeResult(key, n, wit, "shortcut-singletons")
-        ks = range(lo, max(lo, 3) + 1)
-        method = shortcut or "decide-k"
-        for k in ks:
-            try:
-                dec = decide_cover_k(p, k, conds, bound)
-            except BoundExceededError:
-                unknown = Unknown(lo, n, decide_bound(k, bound), "vertex-bound")
-                return CovSizeResult(key, unknown, None,
-                                     method if shortcut else f"bound@k={k}")
-            if dec.found:
-                return CovSizeResult(key, k, dec.witness,
-                                     "decide-k" if shortcut is None else
-                                     f"{shortcut}+decide-k")
-            lo = k + 1
-        unknown = Unknown(lo, n, decide_bound(max(ks), bound), "ladder")
-        return CovSizeResult(key, unknown, None, method)
-
     for key in PROFILE_KEYS[1:]:
         fact = two_block_fact(p, prof, key)
-        if fact is None:
-            out[key] = settle(key, 2, None)
-        elif fact.build is None:
-            out[key] = settle(key, 3, fact.method)
+        if fact is not None and fact.build is not None:
+            value, wit, method = 2, fact.build(p), fact.method
+        elif kappa == p.n:  # singletons meet every condition set at radius >= 2
+            value, wit, method = p.n, singleton_witness(p, key), "shortcut-singletons"
         else:
-            wit = fact.build(p)
-            if not covering_passes(wit, PROFILE_CONDS[key]):
-                raise InternalCheckError(
-                    f"{fact.method} witness failed its {key} re-check")
-            out[key] = CovSizeResult(key, 2, wit, fact.method)
+            out[key] = _decide_ladder(p, key, max(kappa, 2 if fact is None else 3),
+                                      fact and fact.method, bound)
+            continue
+        if not covering_passes(wit, PROFILE_CONDS[key]):
+            raise InternalCheckError(f"{method} witness failed its {key} re-check")
+        out[key] = CovSizeResult(key, value, wit, method)
     return out
+
+
+def _decide_ladder(p: Graph, key: str, lo: int, shortcut: str | None,
+                   bound: int | None) -> CovSizeResult:
+    """``cov_profile``'s answer for ``key`` from ``decide_cover_k`` at
+    k = lo, lo + 1, ..., 3 (only k = lo when lo is above 3): the first k
+    found, else an ``Unknown`` from the k the vertex bound stopped, or
+    from one past the last k exhausted.  ``shortcut`` names the fact
+    that ruled size 2 out, if any, and heads the method."""
+    for k in range(lo, max(lo, 3) + 1):
+        try:
+            dec = decide_cover_k(p, k, PROFILE_CONDS[key], bound)
+        except BoundExceededError:
+            unknown = Unknown(k, p.n, decide_bound(k, bound), "vertex-bound")
+            return CovSizeResult(key, unknown, None, shortcut or f"bound@k={k}")
+        if dec.found:
+            return CovSizeResult(key, k, dec.witness,
+                                 f"{shortcut}+decide-k" if shortcut else "decide-k")
+    unknown = Unknown(k + 1, p.n, decide_bound(k, bound), "ladder")
+    return CovSizeResult(key, unknown, None, shortcut or "decide-k")

@@ -315,10 +315,13 @@ class Graph:
 
 def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
     """Raise ``ValueError`` unless every id in ``vertices`` names a vertex
-    of g, an integer in ``0..n-1``."""
-    bad = sorted(v for v in vertices if not 0 <= v < g.n)
+    of g, an integer in ``0..n-1`` (a bool counts as an integer)."""
+    n = g.n
+    bad = [v for v in vertices if not (isinstance(v, int) and 0 <= v < n)]
     if bad:
-        raise ValueError(f"vertex ids {bad} out of range for n={g.n}")
+        raise ValueError(f"vertex ids {bad} out of range for n={n}"
+                         if all(isinstance(v, int) for v in bad) else
+                         f"vertex ids {bad} are not integers")
 
 
 def adjacency_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:

@@ -109,6 +109,25 @@ class TestAppendageNumber:
             assert res.case == ("general center: no size-kappa covering meets"
                                 " A'+B', A', or A+A''+B''")
 
+    @pytest.mark.parametrize("name, bound, value, case, built", [
+        ("2k2", None, 2, "cov_AB=kappa (diam>=4,r>=3)", True),
+        ("c7", None, 2, "cov_AB=kappa (decide@k=2)", True),
+        ("palpha2", None, 4, "cov_AB=kappa (singletons)", True),
+        ("p4", None, 3, "cov_AB>kappa (r=2)", False),
+        ("KeX?GOR?hSA@", None, 3, "cov_AB>kappa (exhausted@k=2)", False),
+        ("c5", 4, Unknown(3, 4, 4, "vertex-bound"),
+         "cov_AB undecided (bound exceeded at k=3)", False)])
+    def test_certificates_at_each_exit_of_the_complete_ladder(self, k2, name, bound,
+                                                              value, case, built):
+        # the one route's decision, and its covering when it built
+        p = U.decode_graph6(name) if name[0].isupper() else U.named_graph(name)
+        res = appendage_number(k2, p, bound=bound)
+        assert res.value == value
+        assert res.case == f"complete center: {case}"
+        assert list(res.certificates) == ["kappa", "cov_A_witness", "radius", "diameter",
+                                          "cov_AB_decision",
+                                          *["witness_covering"] * built]
+
     def test_json_serialization(self, k2):
         res = appendage_number(k2, U.named_graph("2k2"))
         d = res.to_json()

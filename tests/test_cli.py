@@ -263,6 +263,12 @@ class TestMainEntry:
         assert main(["analyze", "--periphery", str(path)]) == 2
         assert "more than 1000" in capsys.readouterr().err
 
+    def test_repeated_edge_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1\n1 0\n")
+        assert main(["analyze", "--periphery", str(path)]) == 2
+        assert "2 edge lines name only 1 distinct edges" in capsys.readouterr().err
+
     def test_bad_subcommand_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -80,6 +80,11 @@ class TestEdgeList:
         with pytest.raises(MalformedInputError):
             parse_edge_list(bad)
 
+    @pytest.mark.parametrize("text", ["3 2\n0 1\n1 0\n", "3 3\n0 1\n1 2\n0 1\n"])
+    def test_repeated_edge_rejected(self, text):
+        with pytest.raises(MalformedInputError, match="distinct edges"):
+            load_graph_text(text)
+
 
 def _graph6_header(n):
     """The graph6 size prefix of an n-vertex graph, long form when n > 62."""

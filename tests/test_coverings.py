@@ -45,6 +45,10 @@ class TestCoveringType:
         with pytest.raises(ValueError, match="out-of-range"):
             cover(Graph.path(3), {-1}, {1, 2})
 
+    def test_non_integer_vertex_is_out_of_range(self):
+        with pytest.raises(ValueError, match="out-of-range"):
+            cover(Graph.path(3), {0, 1, 2}, {1.5})
+
     def test_refined_validation(self):
         c = cover(Graph.path(3), {0, 1}, {2})
         with pytest.raises(ValueError):
@@ -738,6 +742,37 @@ class TestProfile:
                              "A'B'": ("A'", "B'"),
                              "AA''B''": ("A", "A''", "B''")}[key]
                     assert U.covering_passes(res.witness, conds), (key, res)
+
+
+class TestProfileExits:
+    """One case per way ``cov_profile`` answers a key: a size-2 fact's
+    covering, the singletons at kappa = n, the decision ladder finding a
+    covering with or without a shortcut, stopped by the vertex bound with
+    or without one, or exhausted after a shortcut.  No graph of the
+    answer digest reaches the exhausted ladder without a shortcut, so
+    that exit is not pinned."""
+
+    @pytest.mark.parametrize("name, bound, key, value, method", [
+        *[("2k2", None, key, 2, method) for key, method in (
+            ("AB", "shortcut-bipartition"), ("A'", "shortcut-diam>=5"),
+            ("A'B'", "shortcut-disconnected"), ("AA''B''", "shortcut-disconnected"))],
+        *[("palpha2", None, key, 4, "shortcut-singletons")
+          for key in ("AB", "A'", "A'B'", "AA''B''")],
+        ("c7", None, "AB", 2, "decide-k"),
+        ("c7", None, "AA''B''", 3, "shortcut-r2-or-diam<=3+decide-k"),
+        ("c7", None, "A'", Unknown(4, 7, 10, "ladder"), "shortcut-diam<5"),
+        ("c7", 4, "AB", Unknown(2, 7, 4, "vertex-bound"), "bound@k=2"),
+        ("c7", 4, "A'", Unknown(3, 7, 4, "vertex-bound"), "shortcut-diam<5"),
+        ("p7", None, "A'B'", 3, "shortcut-connected+decide-k"),
+        ("KeX?GOR?hSA@", None, "AB", Unknown(3, 12, 10, "vertex-bound"), "bound@k=3")])
+    def test_each_exit(self, name, bound, key, value, method):
+        p = U.decode_graph6(name) if name[0].isupper() else U.named_graph(name)
+        res = cov_profile(p, bound=bound)[key]
+        assert (res.which, res.value, res.method) == (key, value, method)
+        if isinstance(value, Unknown):
+            assert res.witness is None
+        else:
+            assert U.covering_passes(res.witness, PROFILE_CONDS[key])
 
 
 class TestProfileBound:

@@ -345,6 +345,22 @@ class TestInducedSubgraph:
             induced_subgraph(Graph.path(3), vertices)
 
 
+class TestVertexIds:
+    # one check, graphs.check_vertices, refuses any id that is not an int
+    @pytest.mark.parametrize("call", [
+        lambda g: induced_subgraph(g, [0, 0.5]),
+        lambda g: g.label_of(0.5),
+        lambda g: eccentric_set(g, 1.0),
+        lambda g: g.label_of("1")])
+    def test_non_integer_ids_are_refused(self, call):
+        with pytest.raises(ValueError, match="not integers"):
+            call(Graph.path(3))
+
+    def test_bools_stay_accepted(self):
+        graphs.check_vertices(Graph.path(3), [True, False, 2])
+        assert induced_subgraph(Graph.path(3), [False, True])[0].m == 1
+
+
 class TestEccentricSet:
     @pytest.mark.parametrize("v", [-1, 3])
     def test_ids_outside_the_graph_are_refused(self, v):
