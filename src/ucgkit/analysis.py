@@ -17,7 +17,7 @@ from typing import Mapping
 from .coverings import Covering
 from .errors import NotSpanningSubgraphError, NotUcgError, RadiusTooSmallError
 from .graphs import (INF, Dist, Graph, bfs_layers, bits, check_vertices, induced_subgraph,
-                     json_number, metric_profile)
+                     json_value, metric_profile)
 
 
 def _vertices(g: Graph, vs) -> dict:
@@ -79,8 +79,8 @@ class UcgAnalysis:
     def to_json(self) -> dict:
         g = self.graph
         return {
-            "radius": json_number(self.radius),
-            "diameter": json_number(self.diameter),
+            "radius": json_value(self.radius),
+            "diameter": json_value(self.diameter),
             "is_ucg": self.is_ucg,
             "center": _vertices(g, self.center),
             "centered_periphery": _vertices(g, self.centered_periphery),

@@ -40,7 +40,7 @@ from itertools import combinations_with_replacement
 from .coverings import (PROFILE_CONDS, Unknown, cov_A, decide_bound,
                         iter_covering_witnesses, singleton_witness, two_block_fact)
 from .errors import BoundExceededError, DomainError, InternalCheckError
-from .graphs import INF, Graph, MetricProfile, json_number, metric_profile, subset_table
+from .graphs import INF, Graph, MetricProfile, json_value, metric_profile, subset_table
 from .scaffolds import (Scaffold, build_cone, build_refined_scaffold,
                         build_scaffold, verify_construction)
 
@@ -64,13 +64,8 @@ class AppendageResult:
     witness: Scaffold | None
 
     def to_json(self) -> dict:
-        if isinstance(self.value, Unknown):
-            val: object = self.value.to_json()
-        else:
-            val = json_number(self.value)
-        wit = None if self.witness is None else self.witness.to_json()
-        return {"value": val, "case": self.case,
-                "certificates": self.certificates, "witness": wit}
+        return {"value": json_value(self.value), "case": self.case,
+                "certificates": self.certificates, "witness": json_value(self.witness)}
 
 
 def _verifies(s: Scaffold, c: Graph, p: Graph, expect: int) -> bool:
@@ -147,7 +142,7 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     prof = metric_profile(p)
     if prof.radius <= 1:
         return AppendageResult(INF, "infeasible: radius(P) <= 1",
-                               {"radius": json_number(prof.radius)}, None)
+                               {"radius": json_value(prof.radius)}, None)
 
     if c.n == 1:
         cone = _verified(build_cone(p), c, p, 0)
@@ -157,8 +152,8 @@ def appendage_number(c: Graph, p: Graph, bound: int | None = None) -> AppendageR
     kappa = res_a.value
     bound = decide_bound(kappa, bound)
     certs: dict = {"kappa": kappa, "cov_A_witness": res_a.witness.to_json(),
-                   "radius": json_number(prof.radius),
-                   "diameter": json_number(prof.diameter)}
+                   "radius": json_value(prof.radius),
+                   "diameter": json_value(prof.diameter)}
     # rungs are (value, routes, case when left open), routes (profile key,
     # scaffold builder, statuses that rule the value out exactly)
     if c.is_complete:
@@ -300,9 +295,9 @@ def _oracle_hosts(nc: int, np_: int, t: int):
     def edge(u, v):
         return 1 << (u * n + v) | 1 << (v * n + u)
 
+    parts = [subset_table([edge(b, x) for b in range(m)]) for x in added]
     if t:
         pairs = [(x, y) for x in added for y in added if x < y]
-        parts = [subset_table([edge(b, x) for b in range(m)]) for x in added]
     else:
         pairs = [(0, v) for v in range(nc, m)] if nc == 1 else []
     # one table per byte of the edge mask: the edges are disjoint bit
@@ -312,9 +307,6 @@ def _oracle_hosts(nc: int, np_: int, t: int):
     getitem = list.__getitem__
     for mask in range(1 << len(pairs)):
         base = sum(map(getitem, tabs, mask.to_bytes(len(tabs), "little")))
-        if not t:
-            yield base
-            continue
         for cols in combinations_with_replacement(range(1 << m), t):
             yield base + sum(map(getitem, parts, cols))
 

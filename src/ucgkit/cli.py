@@ -22,8 +22,7 @@ from .appendage import (appendage_center_only, appendage_number,
                         appendage_periphery_only, brute_force_appendage,
                         DEFAULT_ORACLE_BOUND)
 from .codecs import encode_graph6, load_graph_text, to_dot
-from .coverings import (INFEASIBLE, REFINED, RefinedCovering, cov_A, cov_profile,
-                        decide_cover_k)
+from .coverings import INFEASIBLE, REFINED, cov_A, cov_profile, decide_cover_k
 from .errors import MalformedInputError, UcgError
 from .families import fixture_manifest, named_graph
 from .graphs import INF, Graph
@@ -239,7 +238,7 @@ def _cmd_construct(args, inputs):
             return {"covering": res.to_json()}, 1, {}
         covering = res.witness
 
-    if isinstance(covering, RefinedCovering):
+    if conds & REFINED:
         scaffold = build_refined_scaffold(c, p, covering)
     else:
         scaffold = build_scaffold(c, p, covering, rho, drop)

@@ -159,7 +159,8 @@ def to_dot(g: Graph, roles: tuple[str, ...] | None = None) -> str:
     """DOT text with role-based fill colors (center/periphery/spine)."""
     out = ["graph ucg {", "  node [style=filled, fillcolor=white];"]
     for v in range(g.n):
-        attrs = [f'label="{g.label_of(v)}"']
+        label = g.label_of(v).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if roles is not None:
             base = roles[v].split(":", 1)[0]
             color = _ROLE_COLORS.get(base)

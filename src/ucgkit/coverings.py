@@ -40,8 +40,8 @@ from itertools import chain
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, InternalCheckError, PreconditionError
-from .graphs import (Graph, MetricProfile, bits, check_vertices, mask_of, metric_profile,
-                     subset_table)
+from .graphs import (Graph, MetricProfile, bits, check_vertices, json_value, mask_of,
+                     metric_profile, subset_table)
 
 CONDITIONS = ("A", "B", "A'", "B'", "A''", "B''")
 #: The conditions read on the split of block 0; a set holding one is refined.
@@ -78,7 +78,7 @@ class Covering:
         return tuple(mask_of(b) for b in self.blocks)
 
     def to_json(self) -> dict:
-        return {"blocks": [sorted(b) for b in self.blocks]}
+        return {"blocks": [sorted(map(int, b)) for b in self.blocks]}
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ class RefinedCovering:
 
     def to_json(self) -> dict:
         d = self.base.to_json()
-        d.update({"iota": self.iota, "q0": sorted(self.q0), "q1": sorted(self.q1)})
+        d.update({"iota": int(self.iota), "q0": sorted(map(int, self.q0)),
+                  "q1": sorted(map(int, self.q1))})
         return d
 
 
@@ -150,6 +151,9 @@ class _Infeasible:
     def __repr__(self):
         return "INFEASIBLE"
 
+    def to_json(self):
+        return "infeasible"
+
 
 #: No covering of the requested kind exists (at the requested size, for
 #: the bounded deciders; at any size, for ``cov_A``).
@@ -192,18 +196,8 @@ class CovSizeResult:
         return isinstance(self.value, int)
 
     def to_json(self) -> dict:
-        if isinstance(self.value, int):
-            val: object = self.value
-        elif isinstance(self.value, Unknown):
-            val = self.value.to_json()
-        else:
-            val = "infeasible"
-        return {
-            "which": self.which,
-            "value": val,
-            "method": self.method,
-            "witness": self.witness.to_json() if self.witness is not None else None,
-        }
+        return {"which": self.which, "value": json_value(self.value),
+                "method": self.method, "witness": json_value(self.witness)}
 
 
 # --------------------------------------------------------------------------
@@ -908,15 +902,10 @@ def two_ball_triple_check(p: Graph) -> tuple[bool, tuple[int, int, int] | None]:
     intersection?  Returns the first such triple in lexicographic order."""
     ball2 = p.ball_masks(2)
     n = p.n
-    if n < 3:
-        return False, None
     for x1 in range(n):
         b1 = ball2[x1]
         for x2 in range(x1 + 1, n):
             b12 = b1 & ball2[x2]
-            if not b12:
-                x3 = next(v for v in range(n) if v not in (x1, x2))
-                return True, tuple(sorted((x1, x2, x3)))  # type: ignore[return-value]
             for x3 in range(x2 + 1, n):
                 if not (b12 & ball2[x3]):
                     return True, (x1, x2, x3)

@@ -36,8 +36,11 @@ INF = math.inf
 Dist = float
 
 
-def json_number(x):
-    """``x`` as a JSON value: the string "inf" for infinity, else ``x``."""
+def json_value(x):
+    """``x`` as a JSON value: what its ``to_json()`` returns if it has
+    one, the string "inf" for infinity, else ``x`` itself."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
     return "inf" if x == INF else x
 
 
@@ -154,17 +157,14 @@ class Graph:
 
     @classmethod
     def disjoint_union(cls, parts: Sequence["Graph"]) -> "Graph":
-        n = sum(g.n for g in parts)
-        edges: list[tuple[int, int]] = []
-        off = 0
-        labels: list[str] = []
-        labelled = all(g.labels is not None for g in parts)
+        """The parts side by side, labelled only when every part is."""
+        rows: list[int] = []
         for g in parts:
-            edges.extend((u + off, v + off) for u, v in g.edges)
-            if labelled:
-                labels.extend(g.labels)  # type: ignore[arg-type]
-            off += g.n
-        return cls(n, edges, labels if labelled else None)
+            off = len(rows)
+            rows.extend(a << off for a in g.adj_masks)
+        labelled = all(g.labels is not None for g in parts)
+        labels = [x for g in parts for x in g.labels] if labelled else None  # type: ignore[union-attr]
+        return cls(len(rows), labels=labels, _adj_masks=rows)
 
     # -- basic structure -------------------------------------------------------
 
@@ -300,17 +300,14 @@ class Graph:
                 and self.adj_masks == other.adj_masks and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.n, self.adj_masks, self.labels))
-        return h
+        return hash((self.n, self.adj_masks, self.labels))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
     def label_of(self, v: int) -> str:
         check_vertices(self, (v,))
-        return self.labels[v] if self.labels else str(v)
+        return self.labels[v] if self.labels else str(int(v))
 
 
 def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
@@ -450,6 +447,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     if not old:
         raise ValueError("induced subgraph needs at least one vertex")
     check_vertices(g, old)
+    old = tuple(map(int, old))  # a bool id comes back as its int
     index = {o: i for i, o in enumerate(old)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     labels = tuple(g.label_of(o) for o in old) if g.labels else None

@@ -37,7 +37,7 @@ from .analysis import ucg_analysis
 from .codecs import encode_graph6
 from .coverings import Covering, RefinedCovering
 from .errors import DomainError, InvalidDropError
-from .graphs import Dist, Graph, adjacency_rows, json_number, mask_of
+from .graphs import Dist, Graph, adjacency_rows, json_value, mask_of
 
 CENTER = "center"
 PERIPHERY = "periphery"
@@ -88,7 +88,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {"is_ucg": self.is_ucg, "center_matches": self.center_matches,
                 "periphery_matches": self.periphery_matches,
-                "radius": json_number(self.radius),
+                "radius": json_value(self.radius),
                 "intermediate_count": self.intermediate_count, "ok": self.ok}
 
 

@@ -167,6 +167,16 @@ def min_cover_A_naive(g: Graph, k_max: int) -> int | None:
     return None
 
 
+def two_ball_triple(g: Graph):
+    """The first triple x1 < x2 < x3, in lexicographic order, with no
+    vertex within distance 2 of all three, or None."""
+    d = floyd_distances(g)
+    for triple in itertools.combinations(range(g.n), 3):
+        if not any(all(d[v, x] <= 2 for x in triple) for v in range(g.n)):
+            return triple
+    return None
+
+
 # --- radial paths -----------------------------------------------------------
 
 def radial_paths(g: Graph):

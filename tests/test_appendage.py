@@ -133,7 +133,10 @@ class TestAppendageNumber:
         d = res.to_json()
         assert d["value"] == 2 and d["witness"]["graph6"]
         inf_d = appendage_number(k2, Graph.star(3)).to_json()
-        assert inf_d["value"] == "inf"
+        assert inf_d["value"] == "inf" and inf_d["witness"] is None
+        dec = U.decide_cover_k(U.gen_prism(5).graph, 3, ("A'", "B'")).to_json()
+        assert dec["value"] == "infeasible" and dec["witness"] is None
+        assert U.cov_profile(Graph.complete(3))["A"].to_json()["value"] == "infeasible"
         unres = appendage_number(k2, Graph.cycle(5), bound=4).to_json()
         assert unres["value"] == {"unknown": True, "lo": 3, "hi": 4, "bound": 4,
                                   "stop": "vertex-bound"}

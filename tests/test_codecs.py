@@ -169,3 +169,7 @@ class TestDot:
         assert "gold" in dot and "lightskyblue" in dot and "gray80" in dot
         assert "0 -- 1;" in dot and "1 -- 2;" in dot
         assert 'label="c"' in dot
+
+    def test_labels_are_escaped(self):
+        dot = to_dot(Graph(2, [(0, 1)], labels=['a"b', "c\\"]))
+        assert 'label="a\\"b"' in dot and 'label="c\\\\"' in dot

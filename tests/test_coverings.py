@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import weakref
 
@@ -64,6 +65,13 @@ class TestCoveringType:
         rc = RefinedCovering(c, 0, frozenset({0}), frozenset({1}))
         assert U.covering_from_json(g, c.to_json()) == c
         assert U.covering_from_json(g, rc.to_json()) == rc
+
+    def test_bool_ids_are_written_as_ints(self):
+        c = Covering(Graph.path(2), (frozenset({False}), frozenset({True})))
+        assert json.dumps(c.to_json()) == '{"blocks": [[0], [1]]}'
+        whole = Covering(Graph.path(2), (frozenset({0, 1}),))
+        rc = RefinedCovering(whole, False, frozenset({True}), frozenset({False}))
+        assert json.dumps(rc.to_json()) == '{"blocks": [[0, 1]], "iota": 0, "q0": [1], "q1": [0]}'
 
 
 class TestConditionCheckers:
@@ -621,6 +629,18 @@ class TestTwoBall:
 
     def test_complete_graph(self):
         assert two_ball_triple_check(Graph.complete(3)) == (False, None)
+
+    @pytest.mark.parametrize("g, expected", [
+        (Graph(1), (False, None)), (Graph.empty(2), (False, None)),
+        (Graph.empty(3), (True, (0, 1, 2))), (Graph.empty(5), (True, (0, 1, 2)))],
+        ids=["n1", "empty2", "empty3", "empty5"])
+    def test_small_and_disjoint_balls(self, g, expected):
+        assert two_ball_triple_check(g) == expected
+
+    def test_matches_the_literal_scan_on_the_atlas(self):
+        for g in U.atlas_graphs(max_n=7):
+            triple = oracles.two_ball_triple(g)
+            assert two_ball_triple_check(g) == (triple is not None, triple)
 
 
 class TestBipartition:

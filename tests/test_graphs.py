@@ -74,6 +74,14 @@ class TestConstruction:
         u = Graph.disjoint_union([Graph.complete(2), Graph.complete(2)])
         assert u.n == 4 and set(u.edges) == {(0, 1), (2, 3)}
 
+    def test_disjoint_union_shifts_rows_and_joins_labels(self):
+        a, b = Graph(3, [(0, 2)], "xyz"), Graph(2, [(0, 1)], "uv")
+        u = Graph.disjoint_union([a, b, a])
+        assert u == Graph(8, [(0, 2), (3, 4), (5, 7)], "xyzuvxyz")
+        assert u.labels == ("x", "y", "z", "u", "v", "x", "y", "z")
+        bare = Graph.disjoint_union([a, Graph.path(2)])
+        assert bare.labels is None and bare == Graph(5, [(0, 2), (3, 4)])
+
 
 def layer_distance(g, u, v):
     """d(u, v) read off u's layers: the index of the layer holding v, or
@@ -359,6 +367,12 @@ class TestVertexIds:
     def test_bools_stay_accepted(self):
         graphs.check_vertices(Graph.path(3), [True, False, 2])
         assert induced_subgraph(Graph.path(3), [False, True])[0].m == 1
+
+    def test_bool_ids_come_back_as_ints(self):
+        g = Graph.path(3)
+        assert g.label_of(True) == "1" and Graph(3, (), "abc").label_of(True) == "b"
+        _, old = induced_subgraph(g, [False, True])
+        assert [type(v) for v in old] == [int, int] and old == (0, 1)
 
 
 class TestEccentricSet:
